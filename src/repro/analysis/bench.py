@@ -3,14 +3,17 @@
 Two families of measurements, both emitted as a ``BENCH_*.json``
 report so perf regressions are diffable across commits:
 
-* **kernel throughput** — each vectorized coding kernel
+* **kernel throughput** — each fast coding kernel
   (:class:`~repro.coding.transition.TransitionCoder`,
   :class:`~repro.coding.inversion.InversionTranscoder`,
-  :class:`~repro.coding.last_value.LastValueTranscoder`) timed against
-  its own scalar per-cycle loop on the same trace.  The scalar path is
-  the differential-testing oracle, so every timing run doubles as a
-  correctness check: the report records whether the two encodes were
-  bit-identical.
+  :class:`~repro.coding.last_value.LastValueTranscoder` and the fused
+  audited window kernel of
+  :class:`~repro.hardware.transcoder_hw.HardwareWindowTranscoder`)
+  timed against its own scalar per-cycle loop on the same trace.  The
+  scalar path is the differential-testing oracle, so every timing run
+  doubles as a correctness check: the report records whether the two
+  encodes were bit-identical — and, for the audited coder, whether the
+  operation counts and their order matched too.
 * **sweep latency** — a small :func:`robust_savings_sweep` and
   :func:`crossover_table` run cold (empty trace cache) and then warm
   (persistent cache populated, in-memory layers cleared), quantifying
@@ -66,6 +69,7 @@ from .. import obs
 from ..coding.inversion import InversionTranscoder
 from ..coding.last_value import LastValueTranscoder
 from ..coding.transition import TransitionCoder
+from ..hardware.transcoder_hw import HardwareWindowTranscoder
 from ..traces.cache import TraceCache, get_default_cache, set_default_cache
 from ..traces.trace import BusTrace
 from ..wires.technology import TECHNOLOGIES
@@ -118,6 +122,11 @@ def _kernel_cases(quick: bool) -> List[Tuple[str, Any, BusTrace]]:
             InversionTranscoder(32, 1),
             locality_trace(cycles(100_000), 32, seed=11, name="bench-locality"),
         ),
+        (
+            "window-audit",
+            HardwareWindowTranscoder(TECHNOLOGIES[0], 8, 32),
+            locality_trace(cycles(100_000), 32, seed=13, name="bench-locality"),
+        ),
     ]
 
 
@@ -152,6 +161,12 @@ class _phase_timer:
         return None
 
 
+def _audit(coder: Any) -> Optional[List[Tuple[Any, int]]]:
+    """An auditing coder's operation counts in charge order, else None."""
+    ops = getattr(coder, "ops", None)
+    return None if ops is None else list(ops)
+
+
 def _time_kernel(name: str, coder: Any, trace: BusTrace) -> Dict[str, Any]:
     coder.reset()
     with _phase_timer(
@@ -159,6 +174,7 @@ def _time_kernel(name: str, coder: Any, trace: BusTrace) -> Dict[str, Any]:
     ) as timer:
         scalar = coder.encode_trace_scalar(trace)
     scalar_s = timer.seconds
+    scalar_ops = _audit(coder)
 
     coder.reset()
     with _phase_timer(
@@ -168,6 +184,7 @@ def _time_kernel(name: str, coder: Any, trace: BusTrace) -> Dict[str, Any]:
     fast_s = timer.seconds
 
     identical = bool(np.array_equal(scalar.values, fast.values))
+    identical = identical and _audit(coder) == scalar_ops
     fast_s_safe = max(fast_s, 1e-9)  # keep the report finite (valid JSON)
     return {
         "coder": name,

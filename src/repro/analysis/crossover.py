@@ -13,12 +13,14 @@ encoder's design and is charged the same energy, per Section 5.4.
 
 Everything expensive (encoding the trace, counting activity, auditing
 the hardware ops) happens once per :class:`CrossoverAnalysis`, so
-sweeping lengths and bisecting for the crossover are cheap.
+sweeping lengths and bisecting for the crossover are cheap.  None of it
+depends on the process node, so :meth:`CrossoverAnalysis.with_technology`
+prices the same artifacts at another node without redoing any of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -86,9 +88,11 @@ class CrossoverAnalysis:
     #: computed here, exactly as before.
     ops: Optional[OperationCounts] = None
     coded: Optional[BusTrace] = None
+    #: Optional precomputed wire activity of ``trace`` and ``coded``,
+    #: technology-independent like the artifacts above.
+    base_counts: Optional[ActivityCounts] = field(default=None, repr=False)
+    coded_counts: Optional[ActivityCounts] = field(default=None, repr=False)
 
-    _base_counts: ActivityCounts = field(init=False, repr=False)
-    _coded_counts: ActivityCounts = field(init=False, repr=False)
     _transcoder_per_cycle: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -104,9 +108,15 @@ class CrossoverAnalysis:
                 circuit.energy(self.ops) / len(self.trace)
                 + circuit.leakage_energy_per_cycle
             )
-        self._base_counts = count_activity(self.trace)
-        self._coded_counts = count_activity(self.coded)
+        if self.base_counts is None:
+            self.base_counts = count_activity(self.trace)
+        if self.coded_counts is None:
+            self.coded_counts = count_activity(self.coded)
         self._transcoder_per_cycle = encoder_epc * (1.0 + self.decoder_factor)
+
+    def with_technology(self, technology: Technology) -> "CrossoverAnalysis":
+        """The same trace, encode and wire activity priced at ``technology``."""
+        return replace(self, technology=technology)
 
     # -- energies ---------------------------------------------------------
 
@@ -123,7 +133,7 @@ class CrossoverAnalysis:
     def wire_energy(self, length_mm: float, coded: bool) -> float:
         """Wire energy (J) at ``length_mm`` for the raw or coded bus."""
         model = BusEnergyModel(self.technology, length_mm, self.buffered)
-        counts = self._coded_counts if coded else self._base_counts
+        counts = self.coded_counts if coded else self.base_counts
         return model.energy_from_counts(counts)
 
     def ratio(self, length_mm: float) -> float:

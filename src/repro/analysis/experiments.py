@@ -381,20 +381,23 @@ def crossover_table(
                 outcome.value if outcome.ok else _reraise_strict(_artifact, outcome)
             )
 
+    # Each (workload, size) analysis is built once, with its wire
+    # activity, and repriced for every technology.
+    shared: Dict[Tuple[str, int], CrossoverAnalysis] = {}
+
+    def _analysis(tech: Technology, name: str, size: int) -> CrossoverAnalysis:
+        if (name, size) not in shared:
+            ops, coded = artifacts[(name, size)]
+            shared[(name, size)] = CrossoverAnalysis(
+                traces[name], tech, size, ops=ops, coded=coded
+            )
+        return shared[(name, size)].with_technology(tech)
+
     cells: List[CrossoverCell] = []
     with obs.span("table3.assemble", technologies=len(list(technologies))):
         for tech in technologies:
             for size in entry_sizes:
-                analyses = {
-                    name: CrossoverAnalysis(
-                        traces[name],
-                        tech,
-                        size,
-                        ops=artifacts[(name, size)][0],
-                        coded=artifacts[(name, size)][1],
-                    )
-                    for name in all_names
-                }
+                analyses = {name: _analysis(tech, name, size) for name in all_names}
                 groups = {
                     "SPECint": [analyses[name] for name in int_names],
                     "SPECfp": [analyses[name] for name in fp_names],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..traces.trace import BusTrace
 from .errors import CodeIndexError, DesyncError
 from .predictive import Predictor, PredictiveTranscoder
 
@@ -61,6 +62,10 @@ class WindowPredictor(Predictor):
         self.last = value
         if value in self._index:
             return
+        # Only at power-on can a LAST hit land here: LAST holds 0 before
+        # any value was seen, so a leading 0 is inserted although it hit.
+        # The hardware audit charges no SHIFT for that write -- a known
+        # quirk, kept because recorded Table 3 values depend on it.
         old = self._slots[self._head]
         if old is not None:
             del self._index[old]
@@ -75,7 +80,21 @@ class WindowPredictor(Predictor):
 
 
 class WindowTranscoder(PredictiveTranscoder):
-    """The paper's Window-based transcoder over a ``width``-bit bus."""
+    """The paper's Window-based transcoder over a ``width``-bit bus.
+
+    Trace-level encodes run the fused per-cycle kernel shared with the
+    hardware-audited subclass (its operation counts are discarded here);
+    :meth:`encode_trace_scalar` is the kernel's oracle.
+    """
 
     def __init__(self, size: int = 8, width: int = 32):
         super().__init__(WindowPredictor(size, width), width)
+
+    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
+        # The kernel lives with the audit it fuses; imported here because
+        # the hardware package builds on this module.
+        from ..hardware.transcoder_hw import _kernel_models, encode_window_trace
+
+        if not _kernel_models(self, WindowTranscoder):
+            return self.encode_trace_scalar(trace)
+        return encode_window_trace(self, trace)[0]

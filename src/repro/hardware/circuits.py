@@ -175,7 +175,13 @@ class TranscoderCircuit:
         return 0.5 * tech.vdd**2 * cap * _LAYOUT_FACTOR
 
     def energy(self, ops: OperationCounts) -> float:
-        """Total dynamic energy (J) of an operation multiset."""
+        """Total dynamic energy (J) of an operation multiset.
+
+        Summed in the multiset's insertion order (see
+        :class:`OperationCounts`); float addition is not associative, and
+        recorded values such as Table 3's ``ratio_5mm`` depend on that
+        order to the last bit.
+        """
         return sum(self.op_energy(op) * count for op, count in ops)
 
     # -- static characteristics ----------------------------------------------

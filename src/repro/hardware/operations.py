@@ -46,7 +46,14 @@ class Op(Enum):
 
 
 class OperationCounts:
-    """A multiset of operations accumulated over a run."""
+    """A multiset of operations accumulated over a run.
+
+    Iteration yields ``(op, count)`` in insertion order: the order in
+    which each operation was first added with a non-zero count.
+    :meth:`TranscoderCircuit.energy` prices in that order, so a kernel
+    that builds the same counts in another order changes recorded
+    floating-point energies in the last bit.
+    """
 
     def __init__(self, initial: Mapping[Op, int] = ()) -> None:
         self._counts: Counter = Counter(dict(initial) if initial else {})

@@ -16,11 +16,14 @@ notes encoder and decoder share the design and nearly the area).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Tuple
+
+import numpy as np
 
 from ..traces.trace import BusTrace
 from ..wires.technology import Technology
 from ..coding.context import ContextTranscoder, VALUE_BASED
+from ..coding.predictive import CTRL_CODE, CTRL_RAW, CTRL_RAW_INVERTED
 from ..coding.window import WindowTranscoder
 from .cam import LOW_BITS
 from .circuits import InversionCircuit, TranscoderCircuit
@@ -29,12 +32,173 @@ from .operations import Op, OperationCounts
 
 __all__ = [
     "HardwareWindowTranscoder",
+    "encode_window_trace",
     "HardwareContextTranscoder",
     "encoder_energy_per_cycle",
     "inversion_energy_per_cycle",
 ]
 
 _LOW_MASK = (1 << LOW_BITS) - 1
+
+# Python >= 3.10 has a native popcount; 3.9 falls back to the string count.
+_popcount = getattr(int, "bit_count", None) or (lambda x: bin(x).count("1"))
+
+#: Control-wire toggles of switching from each control state (index) to
+#: RAW and to RAW_INVERTED.
+_TO_RAW = [_popcount(c ^ CTRL_RAW) for c in range(4)]
+_TO_INV = [_popcount(c ^ CTRL_RAW_INVERTED) for c in range(4)]
+
+#: The order in which :meth:`HardwareWindowTranscoder.encode_value`
+#: charges operations within one cycle.
+_CYCLE_ORDER = (
+    Op.MATCH_LOW,
+    Op.MATCH_FULL,
+    Op.SHIFT,
+    Op.LAST_TRACK,
+    Op.OUTPUT_DRIVE,
+    Op.CYCLE,
+)
+
+
+def _window_kernel(
+    coder: WindowTranscoder, values: List[int], low_bits: int
+) -> Tuple[List[int], OperationCounts]:
+    """Encode ``values`` through a freshly reset window coder, auditing it.
+
+    One pass does both the coding (:meth:`PredictiveTranscoder.encode_value`
+    with :meth:`WindowPredictor.update`) and the operation counting of
+    :meth:`HardwareWindowTranscoder.encode_value`, with all FSM state in
+    locals.  Resident entries per ``low_bits`` pattern are kept in a
+    table, so the selective-precharge full-compare count is one lookup
+    instead of a scan of the window.  Returns the wire states and the
+    counts; the predictor and wire state are written back to ``coder``
+    exactly as the per-cycle loop leaves them.
+
+    The counts are built in the order the per-cycle audit first charges
+    each operation (cycle, then :data:`_CYCLE_ORDER`), because
+    :meth:`TranscoderCircuit.energy` sums in that order and recorded
+    energies depend on it to the last bit.
+    """
+    pred = coder.predictor
+    size = pred.size
+    slots = pred._slots
+    index = pred._index
+    width = coder.input_width
+    mask = coder._mask
+    codewords = coder._codewords
+    low_mask = (1 << low_bits) - 1
+    lows: Dict[int, int] = {}  # low-bit pattern -> resident entries with it
+    filled = head = 0
+    last = pred.last
+    data, ctrl = coder._data_state, coder._ctrl_state
+    state = coder._pack(data, ctrl)
+    if values and values[0] == last:
+        # Power-on quirk of the oracle: LAST holds 0 before any value
+        # was seen, so a leading 0 is a LAST hit, yet the predictor
+        # still inserts it into the window -- and the audit charges no
+        # SHIFT for that write.
+        slots[0], index[last], lows[last & low_mask] = last, 0, 1
+        filled, head = 1, 1 % size
+
+    n_low = n_full = n_shift = n_drive = 0
+    first: Dict[Op, int] = {}  # cycle of each operation's first charge
+    states: List[int] = []
+    emit = states.append
+    popcount = _popcount
+    for cycle, value in enumerate(values):
+        if value == last:
+            # LAST hit: only the LAST detector evaluates; the bus is silent.
+            emit(state)
+            continue
+        low = value & low_mask
+        if filled:
+            if not n_low:
+                first[Op.MATCH_LOW] = cycle
+            n_low += filled
+            full = lows.get(low)
+            if full:
+                if not n_full:
+                    first[Op.MATCH_FULL] = cycle
+                n_full += full
+        slot = index.get(value)
+        if slot is None:
+            if not n_shift:
+                first[Op.SHIFT] = cycle
+            n_shift += 1
+            # Raw or inverted, whichever toggles fewer wires.  The
+            # oracle's rewrite of a raw word that would leave the bus
+            # unchanged never fires: under a raw control state the data
+            # wires show LAST or its complement, and a miss is not LAST.
+            toggles = popcount(data ^ value)
+            if width - toggles + _TO_INV[ctrl] < toggles + _TO_RAW[ctrl]:
+                data, ctrl = value ^ mask, CTRL_RAW_INVERTED
+            else:
+                data, ctrl = value, CTRL_RAW
+            old = slots[head]
+            if old is None:
+                filled += 1
+            else:
+                del index[old]
+                lows[old & low_mask] -= 1
+            slots[head] = value
+            index[value] = head
+            lows[low] = lows.get(low, 0) + 1
+            head += 1
+            if head == size:
+                head = 0
+        else:
+            data, ctrl = data ^ codewords[1 + slot], CTRL_CODE
+        new_state = (ctrl << width) | data
+        drive = popcount(new_state ^ state)
+        if drive and not n_drive:
+            first[Op.OUTPUT_DRIVE] = cycle
+        n_drive += drive
+        state = new_state
+        last = value
+        emit(state)
+
+    pred.last, pred._head = last, head
+    coder._data_state, coder._ctrl_state = data, ctrl
+    totals = {
+        Op.MATCH_LOW: n_low,
+        Op.MATCH_FULL: n_full,
+        Op.SHIFT: n_shift,
+        Op.LAST_TRACK: len(values),
+        Op.OUTPUT_DRIVE: n_drive,
+        Op.CYCLE: len(values),
+    }
+    if values:
+        first[Op.LAST_TRACK] = first[Op.CYCLE] = 0
+    ops = OperationCounts()
+    for op in sorted(first, key=lambda op: (first[op], _CYCLE_ORDER.index(op))):
+        ops.add(op, totals[op])
+    return states, ops
+
+
+def _kernel_models(coder: WindowTranscoder, cls: type) -> bool:
+    """True when the fused kernel reproduces ``coder``'s per-cycle loop.
+
+    It models the default configuration of exactly ``cls``; ablation
+    flags and subclasses (which may override the per-cycle methods)
+    take the scalar loop.
+    """
+    return type(coder) is cls and coder.silent_last and not coder.edge_control
+
+
+def encode_window_trace(
+    coder: WindowTranscoder, trace: BusTrace, low_bits: int = LOW_BITS
+) -> Tuple[BusTrace, OperationCounts]:
+    """Reset ``coder`` and encode ``trace`` through the fused kernel.
+
+    The one trace kernel of the window family: the plain
+    :class:`WindowTranscoder` discards the counts, the audited
+    :class:`HardwareWindowTranscoder` keeps them.
+    """
+    coder._check_encode_width(trace)
+    coder.reset()
+    states, ops = _window_kernel(coder, trace.values.tolist(), low_bits)
+    out = np.array(states, dtype=np.uint64)
+    return BusTrace(out, coder.output_width, coder._encoded_name(trace)), ops
 
 
 class HardwareWindowTranscoder(WindowTranscoder):
@@ -62,6 +226,14 @@ class HardwareWindowTranscoder(WindowTranscoder):
     def reset(self) -> None:
         super().reset()
         self.ops = OperationCounts()
+
+    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
+        """The fused encode-and-audit kernel; :meth:`encode_value` is its
+        oracle, cost for cost and in the order costs are first charged."""
+        if not _kernel_models(self, HardwareWindowTranscoder):
+            return self.encode_trace_scalar(trace)
+        coded, self.ops = encode_window_trace(self, trace, self.low_bits)
+        return coded
 
     def encode_value(self, value: int) -> int:
         pred = self.predictor

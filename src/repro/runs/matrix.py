@@ -299,8 +299,16 @@ def make_cell_fn() -> Callable[[CellSpec], Dict[str, Any]]:
     worker running many cells of the same corpus opens its manifest
     once.  The returned values are small, JSON-ready dicts — floats and
     ``None`` only, no NaN (so canonical JSON round-trips exactly).
+
+    Crossover cells of one stream share their technology-independent
+    artifacts — the audited window encode and the base and coded wire
+    activity — through a memo keyed by ``(source_digest, entries)``.
+    :func:`build_cells` puts a stream's cells next to each other, so the
+    memo holds only the current stream's entries and is dropped when the
+    next stream starts.
     """
     sources: Dict[str, WorkloadSource] = {}
+    analyses: Dict[Tuple[str, int], CrossoverAnalysis] = {}
 
     def _trace(spec: CellSpec):
         source = sources.get(spec.source)
@@ -309,19 +317,33 @@ def make_cell_fn() -> Callable[[CellSpec], Dict[str, Any]]:
             sources[spec.source] = source
         return source.for_stream(spec.stream).trace()
 
+    def _analysis(spec: CellSpec) -> CrossoverAnalysis:
+        tech = technology_by_name(spec.technology)
+        key = (spec.source_digest, _window_entries(spec.coder))
+        if key not in analyses:
+            if any(digest != spec.source_digest for digest, _ in analyses):
+                analyses.clear()  # a new stream: forget the previous one
+            sibling = next(iter(analyses.values()), None)  # other window size
+            analyses[key] = CrossoverAnalysis(
+                _trace(spec),
+                tech,
+                key[1],
+                base_counts=None if sibling is None else sibling.base_counts,
+            )
+        return analyses[key].with_technology(tech)
+
     def execute(spec: CellSpec) -> Dict[str, Any]:
-        trace = _trace(spec)
-        if spec.kind == "savings":
-            coder = parse_coder_spec(spec.coder, trace.width)
-            return {"savings_pct": float(savings_for(trace, coder, spec.lam))}
         if spec.kind in ("crossover", "table3"):
-            tech = technology_by_name(spec.technology)
-            analysis = CrossoverAnalysis(trace, tech, _window_entries(spec.coder))
+            analysis = _analysis(spec)
             crossover = analysis.crossover_length()
             return {
                 "crossover_mm": None if crossover is None else float(crossover),
                 "ratio_5mm": float(analysis.ratio(5.0)),
             }
+        trace = _trace(spec)
+        if spec.kind == "savings":
+            coder = parse_coder_spec(spec.coder, trace.width)
+            return {"savings_pct": float(savings_for(trace, coder, spec.lam))}
         if spec.kind == "faults":
             policy = resolve_policy(spec.policy)
             coder = ResilientTranscoder(

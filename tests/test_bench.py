@@ -42,7 +42,7 @@ def test_quick_bench_matches_schema(quick_report):
 @pytest.mark.bench_smoke
 def test_quick_bench_kernels_are_identical_and_fast(quick_report):
     kernels = {k["coder"]: k for k in quick_report["kernels"]}
-    assert set(kernels) == {"transition", "last-value", "inversion"}
+    assert set(kernels) == {"transition", "last-value", "inversion", "window-audit"}
     for record in kernels.values():
         assert record["identical"], f"{record['coder']} fast path diverged"
         assert record["fast_s"] > 0

@@ -184,3 +184,62 @@ class TestCellFn:
         config = RunConfig(matrix="savings", sources=(GEN,), coders=("last",))
         cell = build_cells(config)[0]
         assert make_cell_fn()(cell) == make_cell_fn()(cell)
+
+
+class TestCrossoverArtifactMemo:
+    """Crossover cells of one stream share one audited encode and one set
+    of activity counts; the memo forgets a stream when the next starts."""
+
+    CONFIG = RunConfig(
+        matrix="crossover",
+        sources=(GEN,),
+        coders=("window8", "window16"),
+        technologies=("0.13um", "0.10um", "0.07um"),
+    )
+
+    def _streams(self):
+        cells = build_cells(self.CONFIG)
+        first = [c for c in cells if c.stream == 0]
+        second = [c for c in cells if c.stream == 1]
+        assert first and second
+        return first, second
+
+    def _count_audits(self, monkeypatch):
+        from repro.analysis import crossover
+
+        audits = []
+        original = crossover.window_artifacts
+
+        def counting(trace, size):
+            audits.append((trace.name, size))
+            return original(trace, size)
+
+        monkeypatch.setattr(crossover, "window_artifacts", counting)
+        return audits
+
+    def test_interleaved_and_skipped_cells_match_fresh_executors(self):
+        a, b = self._streams()
+        # A, B, A again, with cells skipped as a resumed run skips them.
+        order = a[::2] + b + a[1::2] + b[::-1] + a
+        execute = make_cell_fn()
+        for cell in order:
+            assert execute(cell) == make_cell_fn()(cell), cell
+
+    def test_one_audit_per_stream_and_size(self, monkeypatch):
+        audits = self._count_audits(monkeypatch)
+        a, b = self._streams()
+        execute = make_cell_fn()
+        for cell in a + b:
+            execute(cell)
+        assert len(audits) == len(set(audits)) == 4
+
+    def test_memo_holds_one_stream_only(self, monkeypatch):
+        audits = self._count_audits(monkeypatch)
+        a, b = self._streams()
+        execute = make_cell_fn()
+        for cell in a + b + a:
+            execute(cell)
+        # Returning to the first stream re-audits it: its entries were
+        # dropped when the second stream started.
+        assert len(audits) == 6
+        assert audits[4:] == audits[:2]

@@ -270,6 +270,10 @@ class ContextPredictor(Predictor):
 class ContextTranscoder(PredictiveTranscoder):
     """The paper's Context-based transcoder (value or transition flavour)."""
 
+    # Not inherited by the hardware-audited subclass, which counts its
+    # operations in ``encode_value`` (the kernel never calls it).
+    _trace_kernel = True
+
     def __init__(
         self,
         table_size: int = 28,

@@ -97,9 +97,41 @@ class FCMPredictor(Predictor):
         self._history.append(value)
         self.last = value
 
+    def match_trace(self, values: List[int]) -> List[Optional[int]]:
+        """The match/update loop with its state in locals.
+
+        The level-1 mix is a base-31 polynomial of the history mod
+        2**32, so it slides by one value in O(1) instead of being
+        rehashed from the whole history every cycle.
+        """
+        table, history, last = self._table, self._history, self.last
+        shift, rows = 32 - self.table_bits, self.table_size - 1
+        oldest_weight = pow(31, self.order - 1, 1 << 32)
+        mixed = 0
+        for value in history:
+            mixed = (mixed * 31 + value) & 0xFFFFFFFF
+        slots: List[Optional[int]] = []
+        emit = slots.append
+        for value in values:
+            row = ((mixed * _HASH_MULTIPLIER) >> shift) & rows
+            if value == last:
+                emit(0)
+            elif table[row] == value:
+                emit(1 + row)
+            else:
+                emit(None)
+            table[row] = value
+            mixed = ((mixed - history.pop(0) * oldest_weight) * 31 + value) & 0xFFFFFFFF
+            history.append(value)
+            last = value
+        self.last = last
+        return slots
+
 
 class FCMTranscoder(PredictiveTranscoder):
     """Transcoder driven by a two-level FCM value predictor."""
+
+    _trace_kernel = True
 
     def __init__(self, order: int = 2, table_bits: int = 4, width: int = 32):
         super().__init__(FCMPredictor(order, table_bits, width), width)

@@ -22,6 +22,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional
 
+import numpy as np
+
+from ..traces.trace import BusTrace
 from .base import Transcoder
 from .codebook import codeword_table
 from .errors import DesyncError
@@ -35,6 +38,11 @@ __all__ = ["Predictor", "PredictiveTranscoder", "CTRL_CODE", "CTRL_RAW", "CTRL_R
 CTRL_CODE = 0b00
 CTRL_RAW = 0b01
 CTRL_RAW_INVERTED = 0b11
+
+#: Control-wire toggles of switching from each control state (index) to
+#: RAW and to RAW_INVERTED.
+_TO_RAW = [(c ^ CTRL_RAW).bit_count() for c in range(4)]
+_TO_INV = [(c ^ CTRL_RAW_INVERTED).bit_count() for c in range(4)]
 
 
 class Predictor(ABC):
@@ -62,6 +70,32 @@ class Predictor(ABC):
     @abstractmethod
     def update(self, value: int) -> None:
         """Observe the value actually transmitted this cycle."""
+
+    def match_trace(self, values: List[int]) -> List[Optional[int]]:
+        """:meth:`match` then :meth:`update` for each value in turn.
+
+        Returns every value's slot and leaves the predictor as if it had
+        observed them all.  The slots depend on the values alone, never
+        on the wires, which is what lets one trace kernel serve every
+        predictive family.  Overrides must return the same slots, keep
+        their state in Python ``int``s and write the final state back.
+        """
+        match, update = self.match, self.update
+        slots: List[Optional[int]] = []
+        for value in values:
+            slots.append(match(value))
+            update(value)
+        return slots
+
+
+def _kernel_models(coder: "PredictiveTranscoder", cls: type) -> bool:
+    """True when a trace kernel reproduces ``coder``'s per-cycle loop.
+
+    The kernels model the default configuration of exactly ``cls``;
+    ablation flags and subclasses (which may override the per-cycle
+    methods, e.g. to audit operations) take the scalar loop.
+    """
+    return type(coder) is cls and coder.silent_last and not coder.edge_control
 
 
 class PredictiveTranscoder(Transcoder):
@@ -130,6 +164,54 @@ class PredictiveTranscoder(Transcoder):
 
     def _ctrl_cost(self, ctrl: int) -> int:
         return bin(self._ctrl_state ^ ctrl).count("1")
+
+    # -- trace kernel ------------------------------------------------------
+
+    #: True in the body of a family class whose per-cycle loop the trace
+    #: kernel below models.  It is read from the exact class only, so a
+    #: subclass (which may override the per-cycle methods, e.g. to audit
+    #: operations) takes the scalar loop unless it sets it again.
+    _trace_kernel = False
+
+    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
+        """The trace kernel shared by the predictive families.
+
+        The predictor's slots depend only on the values, so
+        :meth:`Predictor.match_trace` produces them all first; one loop
+        then runs the Figure 2 wire FSM with its state in locals and
+        writes the final state back.  It models the default
+        configuration of a class that sets ``_trace_kernel``; anything
+        else runs :meth:`encode_trace_scalar`, which is the oracle.
+        """
+        exact = vars(type(self)).get("_trace_kernel", False)
+        if not (exact and self.silent_last and not self.edge_control):
+            return self.encode_trace_scalar(trace)
+        self._check_encode_width(trace)
+        self.reset()
+        values = trace.values.tolist()
+        slots = self.predictor.match_trace(values)
+        width, mask, codewords = self.input_width, self._mask, self._codewords
+        data, ctrl = self._data_state, self._ctrl_state
+        states: List[int] = []
+        emit = states.append
+        for value, index in zip(values, slots):
+            if index is None:
+                # Raw or inverted, whichever toggles fewer wires.  The
+                # oracle's rewrite of a raw word that would leave the bus
+                # unchanged never fires: under a raw control state the
+                # data wires show LAST or its complement, and a miss is
+                # not LAST.
+                toggles = (data ^ value).bit_count()
+                if width - toggles + _TO_INV[ctrl] < toggles + _TO_RAW[ctrl]:
+                    data, ctrl = value ^ mask, CTRL_RAW_INVERTED
+                else:
+                    data, ctrl = value, CTRL_RAW
+            elif index:
+                data, ctrl = data ^ codewords[index], CTRL_CODE
+            emit((ctrl << width) | data)
+        self._data_state, self._ctrl_state = data, ctrl
+        out = np.array(states, dtype=np.uint64)
+        return BusTrace(out, self.output_width, self._encoded_name(trace))
 
     # -- per-cycle codec ---------------------------------------------------
 

@@ -32,6 +32,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
+from ..traces.trace import BusTrace
 from .base import Transcoder
 
 __all__ = [
@@ -87,6 +90,39 @@ class BusInvertTranscoder(Transcoder):
             inverts |= inverted << g
         self._enc_data = data
         return (inverts << self.input_width) | data
+
+    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
+        """The per-cycle loop with its state in locals, for exactly this
+        class; :meth:`encode_trace_scalar` is the oracle.
+
+        Each group's decision reads only that group's wires, so the loop
+        runs one group at a time; a group was inverted in a cycle exactly
+        when the bits it sent differ from the value's.
+        """
+        if type(self) is not BusInvertTranscoder:
+            return self.encode_trace_scalar(trace)
+        self._check_encode_width(trace)
+        self.reset()
+        group_width, group_mask = self.group_width, self._group_mask
+        out = np.zeros(len(trace), dtype=np.uint64)
+        data = 0
+        for g in range(self.groups):
+            shift = g * group_width
+            group = (trace.values >> np.uint64(shift)) & np.uint64(group_mask)
+            wires = 0
+            sent: List[int] = []
+            emit = sent.append
+            for bits in group.tolist():
+                toggles = (wires ^ bits).bit_count()
+                wires = bits ^ group_mask if toggles * 2 > group_width else bits
+                emit(wires)
+            data |= wires << shift
+            sent_bits = np.array(sent, dtype=np.uint64)
+            out |= sent_bits << np.uint64(shift)
+            inverted = (sent_bits != group).astype(np.uint64)
+            out |= inverted << np.uint64(self.input_width + g)
+        self._enc_data = data
+        return BusTrace(out, self.output_width, self._encoded_name(trace))
 
     def decode_state(self, state: int) -> int:
         data = state & ((1 << self.input_width) - 1)
@@ -256,8 +292,8 @@ class AdaptiveCodebookTranscoder(Transcoder):
     The outgoing data word is ``value XOR pattern`` for the codebook
     ``pattern`` minimising wire toggles; ``log2(len(codebook))`` select
     wires name the pattern.  Pattern 0 (identity) is pinned; the rest
-    adapt — when the best pattern still leaves more than half the wires
-    toggling, the *transition vector itself* replaces the LRU
+    adapt — when the best pattern still leaves more than a quarter of
+    the wires toggling, the *transition vector itself* replaces the LRU
     adaptive entry, so recurring deltas become near-free later.
     Encoder and decoder update from transmitted data only, keeping the
     books identical.
@@ -298,6 +334,40 @@ class AdaptiveCodebookTranscoder(Transcoder):
         self._learn_transition(self._enc_data, data, cost, index)
         self._enc_data = data
         return (index << self.input_width) | data
+
+    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
+        """The per-cycle loop with its state in locals, for exactly this
+        class; :meth:`encode_trace_scalar` is the oracle.
+
+        Entry 0 is pinned, so every other index is in the LRU list; the
+        chosen pattern's toggle count is the transmitted word's cost.
+        """
+        if type(self) is not AdaptiveCodebookTranscoder:
+            return self.encode_trace_scalar(trace)
+        self._check_encode_width(trace)
+        self.reset()
+        book, lru, width = self._book, self._lru, self.input_width
+        data = self._enc_data
+        states: List[int] = []
+        emit = states.append
+        for value in trace.values.tolist():
+            moved = data ^ value
+            costs = [(moved ^ pattern).bit_count() for pattern in book]
+            cost = min(costs)
+            index = costs.index(cost)  # the lowest index on ties
+            sent = value ^ book[index]
+            if index:
+                lru.remove(index)
+                lru.append(index)
+            if cost * 4 > width:
+                victim = lru.pop(0)
+                book[victim] = data ^ sent
+                lru.append(victim)
+            data = sent
+            emit((index << width) | data)
+        self._enc_data = data
+        out = np.array(states, dtype=np.uint64)
+        return BusTrace(out, self.output_width, self._encoded_name(trace))
 
     def _learn_transition(self, old: int, new: int, cost: int, index: int) -> None:
         if index in self._lru:

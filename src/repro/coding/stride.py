@@ -14,7 +14,9 @@ mispredictions simply fall through to raw transmission.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from .errors import CodeIndexError
 from .predictive import Predictor, PredictiveTranscoder
@@ -67,9 +69,30 @@ class StridePredictor(Predictor):
         self._history.insert(0, value)
         self._history.pop()
 
+    def match_trace(self, values: List[int]) -> List[Optional[int]]:
+        """Every value's slot at once: each stride's prediction is a
+        lagged compare over the history followed by the values."""
+        lag = 2 * self.num_strides
+        seq = np.array(self._history[::-1] + list(values), dtype=np.uint64)
+        cur = seq[lag:]
+        mask = np.uint64(self._mask)
+        slots = np.full(len(cur), -1, dtype=np.int64)
+        # Highest stride first, so the lowest matching stride is written
+        # last and wins; LAST (the previous value) overrides them all.
+        for stride in range(self.num_strides, 0, -1):
+            newer = seq[lag - stride : len(seq) - stride]
+            older = seq[lag - 2 * stride : len(seq) - 2 * stride]
+            slots[((newer + newer - older) & mask) == cur] = stride
+        slots[seq[lag - 1 : -1] == cur] = 0
+        self._history = seq[-lag:][::-1].tolist()
+        self.last = self._history[0]
+        return [None if slot < 0 else slot for slot in slots.tolist()]
+
 
 class StrideTranscoder(PredictiveTranscoder):
     """Transcoder driven by a bank of stride predictors (Figure 11)."""
+
+    _trace_kernel = True
 
     def __init__(self, num_strides: int, width: int = 32):
         super().__init__(StridePredictor(num_strides, width), width)

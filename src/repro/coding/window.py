@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from ..traces.trace import BusTrace
 from .errors import CodeIndexError, DesyncError
-from .predictive import Predictor, PredictiveTranscoder
+from .predictive import Predictor, PredictiveTranscoder, _kernel_models
 
 __all__ = ["WindowPredictor", "WindowTranscoder"]
 
@@ -93,7 +93,7 @@ class WindowTranscoder(PredictiveTranscoder):
     def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
         # The kernel lives with the audit it fuses; imported here because
         # the hardware package builds on this module.
-        from ..hardware.transcoder_hw import _kernel_models, encode_window_trace
+        from ..hardware.transcoder_hw import encode_window_trace
 
         if not _kernel_models(self, WindowTranscoder):
             return self.encode_trace_scalar(trace)

@@ -85,9 +85,26 @@ class Memory:
     # -- bulk helpers -------------------------------------------------------
 
     def store_words(self, addr: int, values: Iterable[int]) -> None:
-        """Write consecutive words starting at ``addr``."""
-        for i, value in enumerate(values):
-            self.store_word(addr + 4 * i, int(value))
+        """Write consecutive words starting at ``addr``.
+
+        The words are packed to little-endian bytes once and copied a
+        page at a time; workload setup stores tens of thousands.
+        """
+        data = np.fromiter(
+            (int(value) & 0xFFFFFFFF for value in values), dtype="<u4"
+        ).tobytes()
+        if not data:
+            return
+        addr &= _ADDR_MASK
+        if addr & 3:
+            raise ValueError(f"unaligned word store at {addr:#010x}")
+        done = 0
+        while done < len(data):
+            offset = addr & _OFFSET_MASK
+            chunk = data[done:done + PAGE_SIZE - offset]
+            self._page(addr)[offset:offset + len(chunk)] = chunk
+            done += len(chunk)
+            addr = (addr + len(chunk)) & _ADDR_MASK
 
     def load_words(self, addr: int, count: int) -> np.ndarray:
         """Read ``count`` consecutive words starting at ``addr``."""

@@ -4,6 +4,7 @@ from .accounting import (
     ActivityCounts,
     count_activity,
     coupling_counts,
+    energy_removed,
     normalized_energy_removed,
     popcount,
     transition_counts,
@@ -16,6 +17,7 @@ __all__ = [
     "BusEnergyModel",
     "count_activity",
     "coupling_counts",
+    "energy_removed",
     "normalized_energy_removed",
     "popcount",
     "transition_counts",

@@ -23,7 +23,14 @@ import numpy as np
 from ..traces.trace import BusTrace
 from ..wires.technology import Technology
 from ..coding.context import ContextTranscoder, VALUE_BASED
-from ..coding.predictive import CTRL_CODE, CTRL_RAW, CTRL_RAW_INVERTED
+from ..coding.predictive import (
+    _TO_INV,
+    _TO_RAW,
+    CTRL_CODE,
+    CTRL_RAW,
+    CTRL_RAW_INVERTED,
+    _kernel_models,
+)
 from ..coding.window import WindowTranscoder
 from .cam import LOW_BITS
 from .circuits import InversionCircuit, TranscoderCircuit
@@ -39,14 +46,6 @@ __all__ = [
 ]
 
 _LOW_MASK = (1 << LOW_BITS) - 1
-
-# Python >= 3.10 has a native popcount; 3.9 falls back to the string count.
-_popcount = getattr(int, "bit_count", None) or (lambda x: bin(x).count("1"))
-
-#: Control-wire toggles of switching from each control state (index) to
-#: RAW and to RAW_INVERTED.
-_TO_RAW = [_popcount(c ^ CTRL_RAW) for c in range(4)]
-_TO_INV = [_popcount(c ^ CTRL_RAW_INVERTED) for c in range(4)]
 
 #: The order in which :meth:`HardwareWindowTranscoder.encode_value`
 #: charges operations within one cycle.
@@ -104,7 +103,7 @@ def _window_kernel(
     first: Dict[Op, int] = {}  # cycle of each operation's first charge
     states: List[int] = []
     emit = states.append
-    popcount = _popcount
+    popcount = int.bit_count
     for cycle, value in enumerate(values):
         if value == last:
             # LAST hit: only the LAST detector evaluates; the bus is silent.
@@ -173,16 +172,6 @@ def _window_kernel(
     for op in sorted(first, key=lambda op: (first[op], _CYCLE_ORDER.index(op))):
         ops.add(op, totals[op])
     return states, ops
-
-
-def _kernel_models(coder: WindowTranscoder, cls: type) -> bool:
-    """True when the fused kernel reproduces ``coder``'s per-cycle loop.
-
-    It models the default configuration of exactly ``cls``; ablation
-    flags and subclasses (which may override the per-cycle methods)
-    take the scalar loop.
-    """
-    return type(coder) is cls and coder.silent_last and not coder.edge_control
 
 
 def encode_window_trace(

@@ -33,18 +33,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.crossover import CrossoverAnalysis
-from ..analysis.experiments import savings_for
 from ..analysis.faults_experiments import _seed_for
 from ..coding.specs import parse_coder_spec
 from ..corpus.workload import WorkloadSource, parse_workload_source
-from ..energy.accounting import normalized_energy_removed
+from ..energy import accounting
 from ..faults.models import BitFlips, FaultyChannel
 from ..faults.policies import resolve_policy
 from ..faults.resilient import ResilientTranscoder
+from ..traces.trace import BusTrace
 from ..wires.technology import technology_by_name
 from .ledger import content_digest
 
@@ -292,6 +292,24 @@ def build_cells(config: RunConfig) -> List[CellSpec]:
 # -- cell execution ---------------------------------------------------
 
 
+@dataclass
+class _StreamRecord:
+    """What every cell of one stream shares, whatever its kind."""
+
+    digest: str  #: the stream's ``source_digest``
+    trace: BusTrace
+    base_counts: Optional[accounting.ActivityCounts] = None
+    #: Crossover analyses per window entry count, priced per technology.
+    analyses: Dict[int, CrossoverAnalysis] = field(default_factory=dict)
+
+    def base(self) -> accounting.ActivityCounts:
+        """Wire activity of the un-encoded stream, counted once."""
+        if self.base_counts is None:
+            # Through the module, so wrappers of ``count_activity`` see it.
+            self.base_counts = accounting.count_activity(self.trace)
+        return self.base_counts
+
+
 def make_cell_fn() -> Callable[[CellSpec], Dict[str, Any]]:
     """A per-process cell executor with memoised source resolution.
 
@@ -300,50 +318,58 @@ def make_cell_fn() -> Callable[[CellSpec], Dict[str, Any]]:
     once.  The returned values are small, JSON-ready dicts — floats and
     ``None`` only, no NaN (so canonical JSON round-trips exactly).
 
-    Crossover cells of one stream share their technology-independent
-    artifacts — the audited window encode and the base and coded wire
-    activity — through a memo keyed by ``(source_digest, entries)``.
-    :func:`build_cells` puts a stream's cells next to each other, so the
-    memo holds only the current stream's entries and is dropped when the
-    next stream starts.
+    The cells of one stream share a record of its stream-only
+    artifacts: the resolved trace, its base wire activity and, for
+    crossover cells, the audited window encode and coded activity per
+    entry count (priced at each technology).  :func:`build_cells` puts
+    a stream's cells next to each other, so the executor keeps only the
+    current stream's record and drops it when a cell of another stream
+    arrives.
     """
     sources: Dict[str, WorkloadSource] = {}
-    analyses: Dict[Tuple[str, int], CrossoverAnalysis] = {}
+    record: Optional[_StreamRecord] = None
 
-    def _trace(spec: CellSpec):
-        source = sources.get(spec.source)
-        if source is None:
-            source = parse_workload_source(spec.source)
-            sources[spec.source] = source
-        return source.for_stream(spec.stream).trace()
+    def _stream(spec: CellSpec) -> _StreamRecord:
+        nonlocal record
+        if record is None or record.digest != spec.source_digest:
+            record = None  # a new stream: forget the previous one first
+            source = sources.get(spec.source)
+            if source is None:
+                source = parse_workload_source(spec.source)
+                sources[spec.source] = source
+            trace = source.for_stream(spec.stream).trace()
+            record = _StreamRecord(spec.source_digest, trace)
+        return record
 
-    def _analysis(spec: CellSpec) -> CrossoverAnalysis:
+    def _analysis(spec: CellSpec, stream: _StreamRecord) -> CrossoverAnalysis:
         tech = technology_by_name(spec.technology)
-        key = (spec.source_digest, _window_entries(spec.coder))
-        if key not in analyses:
-            if any(digest != spec.source_digest for digest, _ in analyses):
-                analyses.clear()  # a new stream: forget the previous one
-            sibling = next(iter(analyses.values()), None)  # other window size
-            analyses[key] = CrossoverAnalysis(
-                _trace(spec),
-                tech,
-                key[1],
-                base_counts=None if sibling is None else sibling.base_counts,
+        entries = _window_entries(spec.coder)
+        analysis = stream.analyses.get(entries)
+        if analysis is None:
+            analysis = CrossoverAnalysis(
+                stream.trace, tech, entries, base_counts=stream.base()
             )
-        return analyses[key].with_technology(tech)
+            stream.analyses[entries] = analysis
+        return analysis.with_technology(tech)
 
     def execute(spec: CellSpec) -> Dict[str, Any]:
+        stream = _stream(spec)
+        trace = stream.trace
         if spec.kind in ("crossover", "table3"):
-            analysis = _analysis(spec)
+            analysis = _analysis(spec, stream)
             crossover = analysis.crossover_length()
             return {
                 "crossover_mm": None if crossover is None else float(crossover),
                 "ratio_5mm": float(analysis.ratio(5.0)),
             }
-        trace = _trace(spec)
         if spec.kind == "savings":
             coder = parse_coder_spec(spec.coder, trace.width)
-            return {"savings_pct": float(savings_for(trace, coder, spec.lam))}
+            coded = accounting.count_activity(coder.encode_trace(trace))
+            return {
+                "savings_pct": float(
+                    accounting.energy_removed(stream.base(), coded, spec.lam)
+                )
+            }
         if spec.kind == "faults":
             policy = resolve_policy(spec.policy)
             coder = ResilientTranscoder(
@@ -357,9 +383,10 @@ def make_cell_fn() -> Callable[[CellSpec], Dict[str, Any]]:
             )
             run = coder.run(trace, channel)
             recovery = run.mean_cycles_to_recovery
+            physical = accounting.count_activity(run.physical)
             return {
                 "savings_pct": float(
-                    normalized_energy_removed(trace, run.physical, spec.lam)
+                    accounting.energy_removed(stream.base(), physical, spec.lam)
                 ),
                 "correct_fraction": float(run.correct_fraction),
                 "injected_cycles": int(run.injected_cycles),

@@ -62,6 +62,22 @@ class TestBulk:
         mem.store_words(0x2000, [10, 20, 30])
         assert list(mem.load_words(0x2000, 3)) == [10, 20, 30]
 
+    @pytest.mark.parametrize(
+        "addr", [0, PAGE_SIZE - 8, 3 * PAGE_SIZE + 4, 0xFFFF_FFF8, 0x1_0000_0010]
+    )
+    def test_store_words_matches_word_stores(self, addr):
+        # Crosses page boundaries and the 32-bit wrap; values are masked.
+        values = [(i * 0x9E3779B1) - (i % 3) * 2**33 for i in range(3000)]
+        bulk, single = Memory(), Memory()
+        bulk.store_words(addr, values)
+        for i, value in enumerate(values):
+            single.store_word(addr + 4 * i, value)
+        assert bulk._pages == single._pages
+
+    def test_store_words_rejects_unaligned(self):
+        with pytest.raises(ValueError, match="unaligned"):
+            Memory().store_words(0x102, [1])
+
     def test_allocated_bytes_tracks_pages(self):
         mem = Memory()
         assert mem.allocated_bytes == 0

@@ -187,8 +187,10 @@ class TestCellFn:
 
 
 class TestCrossoverArtifactMemo:
-    """Crossover cells of one stream share one audited encode and one set
-    of activity counts; the memo forgets a stream when the next starts."""
+    """Cells of one stream share one record: the trace, its base activity
+    and, for crossover cells, one audited encode and one set of activity
+    counts per window size.  The record is dropped when the next stream
+    starts."""
 
     CONFIG = RunConfig(
         matrix="crossover",
@@ -196,9 +198,31 @@ class TestCrossoverArtifactMemo:
         coders=("window8", "window16"),
         technologies=("0.13um", "0.10um", "0.07um"),
     )
+    SAVINGS = RunConfig(
+        matrix="savings",
+        sources=(GEN,),
+        coders=(
+            "window8",
+            "context8",
+            "stride4",
+            "last",
+            "invert",
+            "businvert",
+            "codebook",
+            "fcm",
+            "transition",
+        ),
+    )
+    FAULTS = RunConfig(
+        matrix="faults",
+        sources=(GEN,),
+        coders=("window8", "stride4"),
+        bers=(1e-3,),
+        policies=("reset-both",),
+    )
 
-    def _streams(self):
-        cells = build_cells(self.CONFIG)
+    def _streams(self, config=CONFIG):
+        cells = build_cells(config)
         first = [c for c in cells if c.stream == 0]
         second = [c for c in cells if c.stream == 1]
         assert first and second
@@ -217,13 +241,27 @@ class TestCrossoverArtifactMemo:
         monkeypatch.setattr(crossover, "window_artifacts", counting)
         return audits
 
+    def _count_generated(self, monkeypatch):
+        from repro.corpus.generator import ParametricGenerator
+
+        generated = []
+        original = ParametricGenerator.stream
+
+        def counting(generator, index, cycles=None):
+            generated.append(index)
+            return original(generator, index, cycles)
+
+        monkeypatch.setattr(ParametricGenerator, "stream", counting)
+        return generated
+
     def test_interleaved_and_skipped_cells_match_fresh_executors(self):
-        a, b = self._streams()
-        # A, B, A again, with cells skipped as a resumed run skips them.
-        order = a[::2] + b + a[1::2] + b[::-1] + a
-        execute = make_cell_fn()
-        for cell in order:
-            assert execute(cell) == make_cell_fn()(cell), cell
+        for config in (self.CONFIG, self.SAVINGS, self.FAULTS):
+            a, b = self._streams(config)
+            # A, B, A again, with cells skipped as a resumed run skips them.
+            order = a[::2] + b + a[1::2] + b[::-1] + a
+            execute = make_cell_fn()
+            for cell in order:
+                assert execute(cell) == make_cell_fn()(cell), cell
 
     def test_one_audit_per_stream_and_size(self, monkeypatch):
         audits = self._count_audits(monkeypatch)
@@ -243,3 +281,38 @@ class TestCrossoverArtifactMemo:
         # dropped when the second stream started.
         assert len(audits) == 6
         assert audits[4:] == audits[:2]
+
+    def test_one_generation_per_stream_in_build_order(self, monkeypatch):
+        generated = self._count_generated(monkeypatch)
+        for config in (self.SAVINGS, self.FAULTS):
+            execute = make_cell_fn()
+            for cell in build_cells(config):
+                execute(cell)
+        assert generated == [0, 1, 0, 1]
+
+    def test_record_holds_one_stream_only(self, monkeypatch):
+        generated = self._count_generated(monkeypatch)
+        a, b = self._streams(self.SAVINGS)
+        execute = make_cell_fn()
+        for cell in a + b + a[:1] + a[1:]:
+            execute(cell)
+        # Returning to the first stream regenerates it once.
+        assert generated == [0, 1, 0]
+
+    def test_savings_cells_count_the_base_stream_once(self, monkeypatch):
+        from repro.energy import accounting
+
+        counted = []
+        original = accounting.count_activity
+
+        def counting(trace, *args, **kwargs):
+            counted.append(trace.width)
+            return original(trace, *args, **kwargs)
+
+        # Patched on the module: the cells must look it up there.
+        monkeypatch.setattr(accounting, "count_activity", counting)
+        cells = build_cells(self.SAVINGS)
+        execute = make_cell_fn()
+        for cell in cells:
+            execute(cell)
+        assert len(counted) == len(cells) + 2  # one base count per stream

@@ -20,12 +20,11 @@ Gives shell access to the library's main entry points:
 * ``client``       — talk to a running server: ``ping`` (capabilities),
   ``encode`` (stream a workload trace through a session, verifying it
   against the local one-shot encode), ``sweep`` (server-side cell);
-* ``chaos-soak``   — the serving layer's acceptance harness: N
-  concurrent auto-resuming clients through a seeded chaos proxy
-  (connection drops, frame corruption, stalls, reordering), verified
-  byte-identical against the fault-free encode; exits non-zero unless
-  every stream verifies, a resume and a shed were observed, and the
-  server drains cleanly.
+* ``chaos-soak`` / ``cluster-soak`` / ``run-soak`` — the acceptance
+  soaks (:mod:`repro.soak`): auto-resuming clients through a seeded
+  chaos proxy, SIGKILLed cluster workers, and a SIGKILLed-then-resumed
+  run; each prints one verdict table and exits non-zero with one
+  ``<command>: FAIL: <check>: <detail>`` stderr line per failed check.
 
 Sweep commands (``table3``, ``faults-sweep``, ``bench``) accept
 ``--jobs N`` to fan independent cells across worker processes; results
@@ -59,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -92,6 +92,7 @@ from .coding import (
 from .cpu import CycleBudgetExceeded
 from .energy import count_activity
 from .hardware import table2_summaries
+from .soak import render_report
 from .traces import TraceFormatError, coverage_at, load_trace, toggle_rate, window_unique_fraction
 from .wires import TECHNOLOGIES, WireModel, technology_by_name
 from .workloads import EXTENDED_WORKLOADS, WORKLOADS, run_workload, suite_traces
@@ -390,28 +391,21 @@ def _cmd_run_soak(args: argparse.Namespace) -> int:
     report = run_soak(
         directory=args.dir, quick=args.quick, seed=args.seed, jobs=args.jobs
     )
-    rows = [
-        (check.name, "PASS" if check.ok else "FAIL", check.detail[:60])
-        for check in report.checks
-    ]
-    rows.append(("elapsed", f"{report.elapsed_s:.2f} s", ""))
-    if report.directory:
-        rows.append(("artifacts", report.directory, ""))
-    print(
-        format_table(
-            ["check", "verdict", "detail"],
-            rows,
-            title=(
-                f"run soak | seed {args.seed} | "
-                f"kill at {report.kill_at}/{report.cells} cells"
-            ),
-        )
+    stats = report.stats
+    return render_report(
+        report,
+        "run-soak",
+        f"run soak | seed {args.seed} | "
+        f"kill at {stats['kill_at']}/{stats['cells']} cells",
     )
-    if not report.ok:
-        for failure in report.failures:
-            print(f"run-soak: FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
+
+
+def _soak_config(cls, args: argparse.Namespace, **overrides):
+    """``cls.quick`` under ``--quick``, else ``cls``; then the flags
+    that were given.  The config's ``__post_init__`` validates."""
+    config = cls.quick(seed=args.seed) if args.quick else cls(seed=args.seed)
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return dataclasses.replace(config, **given)
 
 
 def _cmd_run(args: argparse.Namespace) -> object:
@@ -893,70 +887,26 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 def _cmd_cluster_soak(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .serve.cluster_soak import ClusterSoakConfig, run_cluster_soak
+    from .serve.soak import ClusterSoakConfig, run_cluster_soak
 
-    import dataclasses
-
-    config = (
-        ClusterSoakConfig.quick(seed=args.seed)
-        if args.quick
-        else ClusterSoakConfig(seed=args.seed)
+    config = _soak_config(
+        ClusterSoakConfig,
+        args,
+        workers=args.workers,
+        clients=args.clients,
+        cycles=args.cycles,
+        chunk=args.chunk,
+        kills=args.kills,
+        obs_dir=args.worker_obs_dir,
+        corpus=args.corpus,
     )
-    overrides = {
-        key: value
-        for key, value in {
-            "workers": args.workers,
-            "clients": args.clients,
-            "cycles": args.cycles,
-            "chunk": args.chunk,
-            "kills": args.kills,
-            "obs_dir": args.worker_obs_dir,
-            "corpus": args.corpus,
-        }.items()
-        if value is not None
-    }
-    if overrides:
-        # dataclasses.replace re-runs __post_init__, which validates
-        # workers/clients/cycles; ValueError lands in the CLI funnel.
-        config = dataclasses.replace(config, **overrides)
-
     report = asyncio.run(run_cluster_soak(config))
-    rows = [
-        ("verdict", "PASS" if report.ok else "FAIL"),
-        ("workload source", config.corpus or "synthetic (built-in)"),
-        ("streams verified", f"{report.streams_verified}/{report.clients}"),
-        ("workers killed", report.kills),
-        ("crash failovers", report.failovers),
-        ("planned migrations", report.migrations),
-        ("worker restarts", report.worker_restarts),
-        ("session resumes", report.resumes),
-        ("reconnects", report.reconnects),
-        ("cluster drain", "clean" if report.drain.get("clean") else str(report.drain)),
-        ("elapsed", f"{report.elapsed_s:.2f} s"),
-    ]
-    if report.artifacts.get("top"):
-        rows.append(("telemetry snapshot", report.artifacts["top"]))
-    if report.artifacts.get("stitched_trace"):
-        rows.append(("stitched trace", report.artifacts["stitched_trace"]))
-    for worker_id, dump in sorted(
-        (report.artifacts.get("flight_dumps") or {}).items()
-    ):
-        rows.append((f"flight journal {worker_id}", dump))
-    print(
-        format_table(
-            ["quantity", "value"],
-            rows,
-            title=(
-                f"cluster soak | seed {config.seed} | {config.workers} workers, "
-                f"{config.clients} clients"
-            ),
-        )
+    return render_report(
+        report,
+        "cluster-soak",
+        f"cluster soak | seed {config.seed} | {config.workers} workers, "
+        f"{config.clients} clients",
     )
-    if report.failures:
-        for failure in report.failures:
-            print(f"cluster-soak: FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -1110,66 +1060,17 @@ def _cmd_client(args: argparse.Namespace) -> int:
 def _cmd_chaos_soak(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .serve.soak import SoakConfig, run_soak
+    from .serve.soak import ChaosSoakConfig, run_chaos_soak
 
-    if args.clients < 1:
-        raise ValueError(f"--clients must be >= 1, got {args.clients}")
-    if args.quick:
-        config = SoakConfig.quick(seed=args.seed, clients=args.clients)
-        if args.cycles is not None or args.chunk is not None:
-            config = SoakConfig(
-                clients=config.clients,
-                cycles=args.cycles if args.cycles is not None else config.cycles,
-                chunk=args.chunk if args.chunk is not None else config.chunk,
-                seed=config.seed,
-            )
-    else:
-        config = SoakConfig(
-            clients=args.clients,
-            cycles=args.cycles if args.cycles is not None else 600,
-            chunk=args.chunk if args.chunk is not None else 60,
-            seed=args.seed,
-        )
-    if config.cycles < config.chunk:
-        raise ValueError(
-            f"--cycles ({config.cycles}) must be >= --chunk ({config.chunk})"
-        )
-
-    report = asyncio.run(run_soak(config))
-    chaos = report.chaos
-    rows = [
-        ("verdict", "PASS" if report.ok else "FAIL"),
-        ("streams verified", f"{report.streams_verified}/{report.clients}"),
-        ("session resumes", report.resumes),
-        ("reconnects", report.reconnects),
-        ("shed/busy rejections", report.sheds),
-        (
-            "server drain",
-            "clean"
-            if report.drain.get("drained") and not report.drain.get("outstanding")
-            else str(report.drain),
-        ),
-        (
-            "chaos injected",
-            f"{chaos.get('cuts', 0)} cuts, {chaos.get('corrupted', 0)} corruptions, "
-            f"{chaos.get('stalled', 0)} stalls, {chaos.get('held', 0)} reorders, "
-            f"{chaos.get('split', 0)} splits, {chaos.get('truncated', 0)} truncations",
-        ),
-        ("frames proxied", chaos.get("frames", 0)),
-        ("elapsed", f"{report.elapsed_s:.2f} s"),
-    ]
-    print(
-        format_table(
-            ["quantity", "value"],
-            rows,
-            title=f"chaos soak | seed {config.seed} | {config.clients} clients",
-        )
+    config = _soak_config(
+        ChaosSoakConfig, args, clients=args.clients, cycles=args.cycles, chunk=args.chunk
     )
-    if report.failures:
-        for failure in report.failures:
-            print(f"chaos-soak: FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    report = asyncio.run(run_chaos_soak(config))
+    return render_report(
+        report,
+        "chaos-soak",
+        f"chaos soak | seed {config.seed} | {config.clients} clients",
+    )
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False) -> None:

@@ -49,7 +49,6 @@ from .flight import (
     FLIGHT_DUMP_FILENAME,
     FLIGHT_FILENAME,
     FlightRecorder,
-    read_flight_journal,
 )
 from .logs import LOGGER_NAME, StructuredFormatter, fields, get_logger, setup_logging
 from .registry import MetricsRegistry, format_key, parse_key
@@ -87,7 +86,6 @@ __all__ = [
     "FlightRecorder",
     "FLIGHT_FILENAME",
     "FLIGHT_DUMP_FILENAME",
-    "read_flight_journal",
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

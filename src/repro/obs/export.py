@@ -7,6 +7,11 @@ Two on-disk forms, both derived from the same in-process state:
   a run leaves behind.  ``repro report`` re-reads these to render its
   summary, so the format is also this module's *input* format
   (:func:`read_jsonl`).
+* **Journals** (the flight recorder's ``flight.jsonl``, a run's
+  ``ledger.jsonl``) — the same one-object-per-line format, appended
+  line-buffered by :class:`JsonlJournal` so every record is flushed the
+  moment it is written: ``kill -9`` forfeits the process, not the page
+  cache.  ``read_jsonl(path, torn_tail=True)`` reads them back.
 * **Chrome trace** (``--trace-out``) — the ``trace_event`` JSON object
   format understood by ``chrome://tracing`` and Perfetto: one complete
   (``"ph": "X"``) event per span with microsecond timestamps rebased to
@@ -29,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from .spans import SpanRecord
 
 __all__ = [
+    "JsonlJournal",
     "chrome_trace",
     "metrics_jsonl_records",
     "read_jsonl",
@@ -80,23 +86,59 @@ def write_jsonl(records: Iterable[Dict[str, Any]], path: str) -> str:
     return path
 
 
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
+def read_jsonl(path: str, torn_tail: bool = False) -> List[Dict[str, Any]]:
     """Parse a JSONL file back into dicts; blank lines are skipped.
 
-    A malformed line raises ``ValueError`` naming the line number —
-    surfaced by ``repro report`` as a one-line user error.
+    A malformed line raises ``ValueError`` naming ``path:lineno`` —
+    surfaced by ``repro report`` as a one-line user error.  With
+    ``torn_tail`` (the journal readers) an undecodable *last* line is
+    dropped instead: that is the debris of a kill landing mid-write,
+    exactly the crash a journal exists to survive.  Interior damage
+    still raises — an append-only journal with a bad line in the middle
+    was tampered with, and reading past it would silently lose records.
     """
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from None
+        lines = handle.readlines()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if torn_tail and lineno == len(lines):
+                break
+            raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from None
     return records
+
+
+class JsonlJournal:
+    """Append-only JSONL writer, line-buffered: one flush per record.
+
+    Errors propagate; a best-effort caller (the flight recorder)
+    catches them itself.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        self._handle = open(path, "a", encoding="utf-8", buffering=1)
+
+    def write(self, record: Dict[str, Any]) -> None:
+        self._handle.write(json.dumps(record, default=str) + "\n")
+
+    def close(self) -> None:
+        try:
+            self._handle.close()
+        except OSError:  # pragma: no cover - already gone
+            pass
+
+    def __enter__(self) -> "JsonlJournal":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 # -- Chrome trace_event -----------------------------------------------

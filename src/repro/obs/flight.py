@@ -9,10 +9,13 @@ event (session open/close, quarantine, shed, failover, drain, crash) is
 1. appended to a **bounded in-memory ring** (``capacity`` newest events,
    oldest evicted first), and
 2. when a journal path is configured, **eagerly appended** to a
-   ``flight.jsonl`` file, flushed per event.  Eager writes are what make
-   the recorder SIGKILL-proof: ``kill -9`` forfeits the process, not the
-   page cache, so everything flushed before the kill survives for the
-   :class:`~repro.serve.supervisor.WorkerSupervisor` to harvest.
+   ``flight.jsonl`` :class:`~repro.obs.export.JsonlJournal`, flushed
+   per event.  Eager writes are what make the recorder SIGKILL-proof:
+   ``kill -9`` forfeits the process, not the page cache, so everything
+   flushed before the kill survives for the
+   :class:`~repro.serve.supervisor.WorkerSupervisor` to harvest (read
+   it back with ``read_jsonl(path, torn_tail=True)``).  Write errors
+   are swallowed: the recorder is best-effort telemetry.
 
 On *graceful* ends (drain, quarantine, crash-with-a-handler) callers may
 additionally :meth:`~FlightRecorder.dump` the ring as one JSON document
@@ -33,6 +36,8 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
+from .export import JsonlJournal
+
 __all__ = ["FLIGHT_FILENAME", "FLIGHT_DUMP_FILENAME", "FlightRecorder"]
 
 #: The eager append-only journal a recorder keeps under its directory.
@@ -52,11 +57,9 @@ class FlightRecorder:
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0
-        self._handle = None
+        self._journal: Optional[JsonlJournal] = None
         if path:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            # Line-buffered append: one flush per event, SIGKILL-proof.
-            self._handle = open(path, "a", encoding="utf-8", buffering=1)
+            self._journal = JsonlJournal(path)
             self.record("flight.start", pid=os.getpid())
 
     # -- fork safety ---------------------------------------------------
@@ -78,11 +81,11 @@ class FlightRecorder:
             }
             entry.update(fields)
             self._ring.append(entry)
-            if self._handle is not None:
+            if self._journal is not None:
                 try:
-                    self._handle.write(json.dumps(entry, default=str) + "\n")
+                    self._journal.write(entry)
                 except (OSError, ValueError):  # closed handle / full disk
-                    self._handle = None
+                    self._journal = None
         return entry
 
     # -- reading / dumping ---------------------------------------------
@@ -126,42 +129,12 @@ class FlightRecorder:
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-                self._handle = None
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FlightRecorder(events={len(self._ring)}/{self.capacity}, "
             f"path={self.path!r})"
         )
-
-
-def read_flight_journal(path: str) -> List[Dict[str, Any]]:
-    """Parse an eager ``flight.jsonl`` journal, tolerating a torn tail.
-
-    A SIGKILL can land mid-write, leaving a final partial line; unlike
-    :func:`repro.obs.export.read_jsonl` (which rejects malformed lines),
-    the harvest path drops an undecodable *last* line silently — that is
-    exactly the crash the journal exists to survive.
-    """
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:  # torn tail: expected after kill -9
-                break
-            raise ValueError(f"{path}:{index + 1}: not valid JSON") from None
-    return records
-
-
-__all__.append("read_flight_journal")

@@ -5,7 +5,8 @@ embarrassingly parallel; what they lacked was *durability*.  This
 package gives every matrix run a journalled identity:
 
 * :mod:`~repro.runs.ledger` — the append-only, SIGKILL-proof
-  ``ledger.jsonl`` journal and its torn-tail-tolerant reader;
+  ``ledger.jsonl`` journal (read back with
+  ``repro.obs.read_jsonl(path, torn_tail=True)``);
 * :mod:`~repro.runs.matrix` — content-addressed cell identity and the
   ``savings``/``crossover``/``table3``/``faults`` matrix builders over
   any ``suite:``/``corpus:``/``gen:`` workload source;
@@ -30,7 +31,6 @@ from .ledger import (
     canonical_json,
     content_digest,
     file_digest,
-    read_ledger,
     replay_ledger,
 )
 from .matrix import (
@@ -54,7 +54,6 @@ __all__ = [
     "canonical_json",
     "content_digest",
     "file_digest",
-    "read_ledger",
     "replay_ledger",
     "MATRICES",
     "CellSpec",

@@ -8,12 +8,12 @@ fault-isolation discipline the serving stack already uses:
   instant loses at most the in-flight batch;
 * watchdog expiries and transport-ish failures (``timeout``,
   ``OSError``, ``ConnectionError``, ...) are **transient**: retried
-  under a :class:`~repro.serve.retry.RetryPolicy` with decorrelated
+  under a :class:`~repro.retry.RetryPolicy` with decorrelated
   jitter, up to the attempt budget;
 * everything else is **deterministic**: re-running it would burn the
   pool for the same exception, so the cell is quarantined after one
   attempt with a record naming the error;
-* a per-(kind, coder-family) :class:`~repro.serve.retry.CircuitBreaker`
+* a per-(kind, coder-family) :class:`~repro.retry.CircuitBreaker`
   stops a poisoned spec family: once it opens, that family's remaining
   cells fail fast with class ``circuit-open`` instead of executing;
 * **resume** replays the ledger, verifies every recorded artifact's
@@ -46,7 +46,8 @@ import numpy as np
 from .. import obs
 from ..analysis.parallel import parallel_map_cells
 from ..analysis.reporting import format_table
-from ..serve.retry import CircuitBreaker, CircuitOpenError, RetryPolicy
+from ..obs.export import read_jsonl
+from ..retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from ..workloads.programs import FP_WORKLOADS, INT_WORKLOADS
 from .ledger import (
     LEDGER_FILENAME,
@@ -54,7 +55,6 @@ from .ledger import (
     RunLedger,
     canonical_json,
     file_digest,
-    read_ledger,
     replay_ledger,
 )
 from .matrix import (
@@ -506,7 +506,7 @@ def run_matrix(
             raise ValueError(
                 f"nothing to resume: no ledger at {rundir.ledger_path}"
             )
-        events = read_ledger(rundir.ledger_path)
+        events = read_jsonl(rundir.ledger_path, torn_tail=True)
         state = replay_ledger(events)
         if state.header is None:
             raise ValueError(

@@ -1,11 +1,11 @@
 """The run ledger: a crash-proof journal of one experiment run.
 
 A run directory (``runs/<run-id>/``) is owned by its **ledger** —
-``ledger.jsonl``, a line-buffered append-only journal with the same
-SIGKILL-survival contract as :mod:`repro.obs.flight`: every event is
-flushed as one line the moment it happens, so ``kill -9`` forfeits the
-process, not the page cache, and everything appended before the kill
-survives for ``--resume`` to replay.
+``ledger.jsonl``, a :class:`~repro.obs.export.JsonlJournal` (the same
+line-buffered append-only writer as :mod:`repro.obs.flight`): every
+event is flushed as one line the moment it happens, so ``kill -9``
+forfeits the process, not the page cache, and everything appended
+before the kill survives for ``--resume`` to replay.
 
 Event vocabulary (one JSON object per line, ``event`` + ``ts`` plus
 event-specific fields):
@@ -41,20 +41,24 @@ event-specific fields):
     The run finished: status (``complete`` / ``degraded``) and the
     done/failed counts.  A ledger without it was interrupted.
 
-Reading tolerates exactly one **torn tail** — an undecodable *last*
-line, the expected debris of a kill landing mid-write — and reports any
-*interior* corruption as ``path:lineno`` (the journal is append-only;
-a bad line in the middle means real damage, not a crash).
+Read it back with ``read_jsonl(path, torn_tail=True)``: exactly one
+**torn tail** — an undecodable *last* line, the expected debris of a
+kill landing mid-write — is dropped, and any *interior* corruption is
+reported as ``path:lineno`` (the journal is append-only; a bad line in
+the middle means real damage, not a crash).  Unlike the best-effort
+flight recorder, the ledger lets write errors propagate: a run that
+cannot journal must not pretend it did.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from ..obs.export import JsonlJournal
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -63,7 +67,6 @@ __all__ = [
     "canonical_json",
     "content_digest",
     "file_digest",
-    "read_ledger",
     "replay_ledger",
 ]
 
@@ -95,62 +98,18 @@ def file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-class RunLedger:
+class RunLedger(JsonlJournal):
     """Append-only, line-buffered writer for one run's journal."""
-
-    def __init__(self, path: str):
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        # Line-buffered append: one flush per event, SIGKILL-proof.
-        self._handle = open(path, "a", encoding="utf-8", buffering=1)
 
     def append(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Append one event; returns the record that was written."""
         record: Dict[str, Any] = {"event": event, "ts": time.time()}
         record.update(fields)
-        self._handle.write(json.dumps(record, default=str) + "\n")
+        self.write(record)
         return record
-
-    def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:  # pragma: no cover - already gone
-            pass
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunLedger({self.path!r})"
-
-
-def read_ledger(path: str) -> List[Dict[str, Any]]:
-    """Parse a ledger, tolerating a torn tail (the kill -9 case).
-
-    An undecodable *last* line is dropped silently — that is exactly
-    the crash the journal exists to survive.  Undecodable interior
-    lines raise ``ValueError`` naming ``path:lineno``: an append-only
-    journal with damage in the middle was tampered with or the disk is
-    failing, and resuming over it would silently lose cells.
-    """
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:  # torn tail: expected after kill -9
-                break
-            raise ValueError(f"{path}:{index + 1}: not valid JSON") from None
-    return records
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """The kill-the-runner soak: SIGKILL + resume = byte-identical outputs.
 
 ``repro run-soak`` is the acceptance gate for the whole resumable-run
-contract, mirroring the chaos-soak/cluster-soak pattern: every step is
-seeded, every verdict is a deterministic function of the seed, and a
-red run is a real bug, not runner noise.
+contract, the third scenario on the :mod:`repro.soak` core next to the
+chaos and cluster soaks: every step is seeded, every verdict is a
+deterministic function of the seed, and a red run is a real bug, not
+runner noise.
 
 The script:
 
@@ -42,43 +43,14 @@ import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import time
+from typing import Dict, List, Optional
 
-from .ledger import LEDGER_FILENAME, read_ledger
+from ..obs.export import read_jsonl
+from ..soak import SoakReport
+from .ledger import LEDGER_FILENAME
 
-__all__ = ["SoakCheck", "SoakReport", "run_soak"]
-
-
-@dataclass(frozen=True)
-class SoakCheck:
-    """One verified invariant: name, verdict, evidence."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class SoakReport:
-    """Everything the CLI needs to render a verdict table."""
-
-    checks: List[SoakCheck] = field(default_factory=list)
-    directory: str = ""  #: where the ledgers/artifacts were left
-    kill_at: int = 0
-    cells: int = 0
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    @property
-    def failures(self) -> List[str]:
-        return [f"{c.name}: {c.detail}" for c in self.checks if not c.ok]
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(SoakCheck(name, ok, detail))
+__all__ = ["run_soak"]
 
 
 def _repro_env() -> Dict[str, str]:
@@ -147,14 +119,11 @@ def run_soak(
     for upload; None uses a temporary directory that is deleted unless
     a check fails.
     """
-    import time as _time
-
-    t0 = _time.monotonic()
+    t0 = time.monotonic()
     report = SoakReport()
     cleanup = directory is None
     root = directory or tempfile.mkdtemp(prefix="repro-run-soak-")
     os.makedirs(root, exist_ok=True)
-    report.directory = root
     env = _repro_env()
 
     population = 6 if quick else 12
@@ -182,8 +151,7 @@ def run_soak(
         "--batch",
         "2",
     ]
-    report.cells = population * 2
-    report.kill_at = kill_at
+    report.stats.update(kill_at=kill_at, cells=population * 2)
 
     # 1. reference run: uninterrupted, same chaos script.
     ref = _run_cli(matrix_args + ["--run-id", "ref"], env)
@@ -205,7 +173,11 @@ def run_soak(
     )
 
     victim_ledger = os.path.join(root, "soak", LEDGER_FILENAME)
-    events = read_ledger(victim_ledger) if os.path.exists(victim_ledger) else []
+    events = (
+        read_jsonl(victim_ledger, torn_tail=True)
+        if os.path.exists(victim_ledger)
+        else []
+    )
     done_keys = [e["key"] for e in events if e.get("event") == "done"]
     closed = any(e.get("event") == "run_close" for e in events)
     report.add(
@@ -262,7 +234,11 @@ def run_soak(
     )
 
     # 5. verdicts.
-    events = read_ledger(victim_ledger) if os.path.exists(victim_ledger) else []
+    events = (
+        read_jsonl(victim_ledger, torn_tail=True)
+        if os.path.exists(victim_ledger)
+        else []
+    )
 
     for name in ("summary.json", "summary.txt"):
         ref_path = os.path.join(root, "ref", name)
@@ -301,20 +277,16 @@ def run_soak(
     )
 
     metrics_path = os.path.join(obs_dir, "metrics.jsonl")
-    counter = 0.0
     try:
-        with open(metrics_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                record = json.loads(line)
-                if record.get("name") == "runs.cells_skipped":
-                    counter += float(record.get("value", 0))
-    except (OSError, ValueError):
-        pass
-    report.add(
-        "runs.cells_skipped counter exported",
-        counter >= 1,
-        f"counter={counter:g}",
-    )
+        counter = sum(
+            float(record.get("value", 0))
+            for record in read_jsonl(metrics_path)
+            if record.get("name") == "runs.cells_skipped"
+        )
+        detail = f"counter={counter:g}"
+    except (OSError, ValueError) as exc:
+        counter, detail = 0.0, str(exc)
+    report.add("runs.cells_skipped counter exported", counter >= 1, detail)
 
     quarantine_dir = os.path.join(root, "soak", "quarantine")
     records = (
@@ -326,8 +298,9 @@ def run_soak(
         f"records={len(records)}",
     )
 
-    report.elapsed_s = _time.monotonic() - t0
+    report.elapsed_s = time.monotonic() - t0
     if cleanup and report.ok:
         shutil.rmtree(root, ignore_errors=True)
-        report.directory = ""
+    else:
+        report.artifacts["run directory"] = root
     return report

@@ -15,17 +15,11 @@ transcoders as *online* components, the paper's per-cycle FSM view
   (``repro serve``);
 * :mod:`~repro.serve.client` — the asyncio client and the
   ``repro client`` CLI's backend;
-* :mod:`~repro.serve.retry` — the unified retry discipline
-  (:class:`RetryPolicy` with an overall deadline budget,
-  :class:`CircuitBreaker` fail-fast);
 * :mod:`~repro.serve.recovery` — :class:`ResilientTraceClient`, the
   auto-resuming client (reconnect → ``resume`` from an exported
   checkpoint → bit-exact tail replay);
 * :mod:`~repro.serve.chaos` — the seeded chaos proxy enforcing
   :mod:`repro.faults.transport` fault models on live connections;
-* :mod:`~repro.serve.soak` — the ``repro chaos-soak`` acceptance
-  harness: N resilient clients through the chaos proxy, byte-equality
-  against the fault-free library path, clean-drain check;
 * :mod:`~repro.serve.ring` / :mod:`~repro.serve.ports` — consistent
   hashing and the shared ``--port 0`` announce/parse contract;
 * :mod:`~repro.serve.supervisor` — worker process supervision:
@@ -37,9 +31,16 @@ transcoders as *online* components, the paper's per-cycle FSM view
   checkpoint-export → ``resume`` → verified replay;
 * :mod:`~repro.serve.loadgen` — ``repro loadgen``: open/closed-loop
   arrival disciplines with feed-latency percentiles;
-* :mod:`~repro.serve.cluster_soak` — the ``repro cluster-soak``
-  acceptance harness: SIGKILL workers mid-stream, demand bit-exact
-  streams, ≥1 failover, ≥1 planned migration and a clean drain.
+* :mod:`~repro.serve.soak` — the ``repro chaos-soak`` and ``repro
+  cluster-soak`` acceptance scenarios on the :mod:`repro.soak` core:
+  resilient streams through the chaos proxy or through SIGKILLed
+  workers, each verified to encode and decode bit-identically, plus
+  resume/shed or failover/migration evidence and a clean drain.
+
+The retry discipline (:class:`RetryPolicy` with an overall deadline
+budget, :class:`CircuitBreaker` fail-fast, :class:`RestartBackoff`)
+lives in :mod:`repro.retry`, shared with the run executor; its names
+are re-exported here.
 
 Everything is instrumented through :mod:`repro.obs` (``serve.*``
 request counters, latency histograms, queue-depth gauges, ``chaos.*``
@@ -60,7 +61,7 @@ from .protocol import (
     ProtocolError,
 )
 from .recovery import ResilientTraceClient
-from .retry import (
+from ..retry import (
     CircuitBreaker,
     CircuitOpenError,
     RestartBackoff,

@@ -17,7 +17,7 @@ ids and cycle counts.
 
 Retry discipline: :meth:`TraceClient.call` raises immediately, while
 :meth:`TraceClient.call_with_retry` applies a
-:class:`~repro.serve.retry.RetryPolicy` — jittered exponential
+:class:`~repro.retry.RetryPolicy` — jittered exponential
 backoff, a per-attempt timeout, and an *overall deadline budget* that
 backoff sleeps can never overshoot.  Which failures are retryable is
 the protocol's idempotency contract (see the table in
@@ -44,7 +44,7 @@ import numpy as np
 from .. import obs
 from . import protocol
 from .protocol import ProtocolError
-from .retry import RetryPolicy
+from ..retry import RetryPolicy
 
 __all__ = ["EncodeStream", "FrameCorruptionError", "TraceClient"]
 

@@ -8,7 +8,7 @@ changes** to talk to a cluster — and shards streaming sessions across N
 engine workers by consistent hashing on the *cluster* session id
 (:class:`~repro.serve.ring.HashRing`).  On the back side it is itself a
 protocol client: one pipelined connection per worker, gated by a
-per-worker :class:`~repro.serve.retry.CircuitBreaker`.
+per-worker :class:`~repro.retry.CircuitBreaker`.
 
 Session identity is virtualised: clients hold *cluster* session ids;
 the router maps them to per-worker session ids and rewrites the
@@ -62,7 +62,7 @@ from .client import EncodeStream, TraceClient
 from .engine import MAX_CHUNK_CYCLES
 from .protocol import ProtocolError
 from .recovery import ReplayBuffer
-from .retry import CircuitBreaker, CircuitOpenError
+from ..retry import CircuitBreaker, CircuitOpenError
 from .ring import HashRing
 from .supervisor import WorkerHandle, WorkerSpec, WorkerSupervisor
 

@@ -37,7 +37,7 @@ from .. import obs
 from ..corpus.workload import WorkloadSource, parse_workload_source
 from ..workloads import locality_trace
 from .recovery import ResilientTraceClient
-from .retry import CircuitBreaker, RetryPolicy
+from ..retry import CircuitBreaker, RetryPolicy
 
 __all__ = ["LoadgenConfig", "LoadgenReport", "run_loadgen"]
 

@@ -20,9 +20,9 @@ recovery:
 * only then is the in-flight chunk retried, against FSM state
   bit-identical to the moment before the failure.
 
-Attempts are paced by a shared :class:`~repro.serve.retry.RetryPolicy`
+Attempts are paced by a shared :class:`~repro.retry.RetryPolicy`
 (jittered backoff under an overall deadline budget) and gated by a
-:class:`~repro.serve.retry.CircuitBreaker` so a dead server fails fast
+:class:`~repro.retry.CircuitBreaker` so a dead server fails fast
 instead of eating the whole budget per call.
 
 This is the paper's resync-style recovery lifted one layer up: PR 1's
@@ -41,7 +41,7 @@ from .. import obs
 from . import protocol
 from .client import EncodeStream, TraceClient
 from .protocol import ProtocolError
-from .retry import CircuitBreaker, RetryPolicy
+from ..retry import CircuitBreaker, RetryPolicy
 
 __all__ = ["ReplayBuffer", "ResilientTraceClient"]
 

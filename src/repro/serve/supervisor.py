@@ -14,7 +14,7 @@ worker it runs a monitor task that watches two failure modes:
   under backpressure is overloaded, not dead, and restarting it would
   only convert load into an outage.
 
-Restarts are paced by :class:`~repro.serve.retry.RestartBackoff`
+Restarts are paced by :class:`~repro.retry.RestartBackoff`
 (seeded jittered exponential backoff with a flap detector: a
 crash-looping worker is held down for ``hold_down_s`` per attempt but
 never abandoned).  Every (re)spawn binds ``--port 0`` and the
@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .. import obs
 from . import ports, protocol
 from .client import TraceClient
-from .retry import RestartBackoff
+from ..retry import RestartBackoff
 
 __all__ = ["WorkerSpec", "WorkerHandle", "WorkerSupervisor"]
 

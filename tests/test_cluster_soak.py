@@ -4,26 +4,35 @@ One quick-profile run of the kill-the-worker soak: real supervised
 worker processes behind a real router, concurrent client streams,
 SIGKILL mid-stream, a planned rebalance, and a full drain — asserting
 the same invariants the CI gate enforces via ``repro cluster-soak``.
+The config-validation tests (both serving soaks) are tier-1.
 """
 
 import asyncio
 
 import pytest
 
-from repro.serve.cluster_soak import ClusterSoakConfig, run_cluster_soak
+from repro.serve.cluster import TraceCluster
+from repro.serve.soak import ChaosSoakConfig, ClusterSoakConfig, run_cluster_soak
+
+
+def assert_acceptance(report, config):
+    assert report.ok, f"cluster soak failed: {report.failures}"
+    checks = {check.name: check.ok for check in report.checks}
+    assert checks["streams encode and decode bit-identically"]
+    assert report.stats["streams_verified"] == config.clients
+    assert report.stats["kills"] >= 1
+    assert report.stats["drain"].get("clean") is True
+
 
 @pytest.mark.chaos
 class TestClusterSoak:
     def test_quick_profile_passes_every_invariant(self):
         config = ClusterSoakConfig.quick()
         report = asyncio.run(run_cluster_soak(config))
-        assert report.ok, f"cluster soak failed: {report.failures}"
-        assert report.streams_verified == config.clients
-        assert report.failovers >= 1
-        assert report.migrations >= 1
-        assert report.kills >= 1
-        assert report.worker_restarts >= 1
-        assert report.drain.get("clean") is True
+        assert_acceptance(report, config)
+        assert report.stats["failovers"] >= 1
+        assert report.stats["migrations"] >= 1
+        assert report.stats["worker_restarts"] >= 1
 
     def test_corpus_population_soak_verifies_bit_exact(self):
         # The acceptance run: clients stream members of a >=10k-stream
@@ -34,10 +43,7 @@ class TestClusterSoak:
             corpus="gen:mixed,seed=7,population=10000,cycles=240,width=16",
         )
         report = asyncio.run(run_cluster_soak(config))
-        assert report.ok, f"corpus soak failed: {report.failures}"
-        assert report.streams_verified == config.clients
-        assert report.kills >= 1
-        assert report.drain.get("clean") is True
+        assert_acceptance(report, config)
 
 
 class TestConfigValidation:
@@ -50,3 +56,26 @@ class TestConfigValidation:
             ClusterSoakConfig(clients=0)
         with pytest.raises(ValueError):
             ClusterSoakConfig(cycles=10, chunk=20)
+        # `--kills 0` used to kill once anyway; `chaos-soak --chunk 0`
+        # used to start a server and FAIL every stream on range()'s zero
+        # step instead of refusing the input.
+        for kills in (0, -1):
+            with pytest.raises(ValueError, match="kills must be >= 1"):
+                ClusterSoakConfig(kills=kills)
+        for config in (ChaosSoakConfig, ClusterSoakConfig):
+            with pytest.raises(ValueError, match="chunk"):
+                config(chunk=0)
+
+    def test_bad_corpus_spawns_no_worker(self, monkeypatch):
+        # The source is resolved before the cluster starts: a bad spec
+        # is an input error, not a cluster left running.
+        started = []
+
+        async def no_start(self):
+            started.append(self)
+
+        monkeypatch.setattr(TraceCluster, "start", no_start)
+        config = ClusterSoakConfig(corpus="gen:nosuchprofile")
+        with pytest.raises(ValueError, match="nosuchprofile"):
+            asyncio.run(run_cluster_soak(config))
+        assert started == []

@@ -14,7 +14,7 @@ import signal
 import pytest
 
 from repro.serve import TraceClient
-from repro.serve.retry import RestartBackoff
+from repro.retry import RestartBackoff
 from repro.serve.supervisor import WorkerSpec, WorkerSupervisor
 
 pytestmark = pytest.mark.chaos

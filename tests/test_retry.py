@@ -8,7 +8,7 @@ end by the chaos tests.
 
 import pytest
 
-from repro.serve.retry import (
+from repro.retry import (
     CircuitBreaker,
     CircuitOpenError,
     RestartBackoff,

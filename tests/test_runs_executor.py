@@ -15,12 +15,12 @@ import os
 
 import pytest
 
+from repro.obs import read_jsonl
 from repro.runs import (
     ExecutorOptions,
     RunConfig,
     RunDirectory,
     cell_key,
-    read_ledger,
     run_matrix,
 )
 
@@ -44,7 +44,7 @@ class TestFreshRun:
         assert result.ok and result.status == "complete"
         assert len(result.results) == 4
         rundir = RunDirectory(str(tmp_path), "r")
-        events = read_ledger(rundir.ledger_path)
+        events = read_jsonl(rundir.ledger_path, torn_tail=True)
         assert events[0]["event"] == "run_open"
         assert events[-1]["event"] == "run_close"
         assert sum(1 for e in events if e["event"] == "done") == 4
@@ -140,7 +140,7 @@ class TestResume:
             record = json.load(handle)
         assert record["reason"] == "artifact-digest-mismatch"
         assert os.path.exists(os.path.join(rundir.path, record["impounded"]))
-        events = read_ledger(rundir.ledger_path)
+        events = read_jsonl(rundir.ledger_path, torn_tail=True)
         assert any(
             e["event"] == "quarantined"
             and e["reason"] == "artifact-digest-mismatch"
@@ -158,7 +158,7 @@ class TestResume:
         resumed = run_matrix(None, str(tmp_path), resume="r", options=fast_options())
         assert resumed.quarantined == 1
         assert resumed.results == first.results
-        events = read_ledger(rundir.ledger_path)
+        events = read_jsonl(rundir.ledger_path, torn_tail=True)
         assert any(
             e["event"] == "quarantined" and e["reason"] == "artifact-missing"
             for e in events
@@ -188,7 +188,8 @@ class TestFailureClassification:
         assert "FAILED:deterministic-failure" in result.summary_text
         assert result.exit_code(strict=True) == 1
         assert result.exit_code(strict=False) == 0
-        events = read_ledger(RunDirectory(str(tmp_path), "r").ledger_path)
+        ledger = RunDirectory(str(tmp_path), "r").ledger_path
+        events = read_jsonl(ledger, torn_tail=True)
         failed = [e for e in events if e["event"] == "failed"]
         assert len(failed) == 1 and failed[0]["final"]
         assert failed[0]["kind"] == "ValueError"
@@ -201,7 +202,8 @@ class TestFailureClassification:
             options=fast_options(chaos=("flaky@2",), retries=3),
         )
         assert result.ok and result.retried == 1
-        events = read_ledger(RunDirectory(str(tmp_path), "r").ledger_path)
+        ledger = RunDirectory(str(tmp_path), "r").ledger_path
+        events = read_jsonl(ledger, torn_tail=True)
         transient = [
             e for e in events if e["event"] == "failed" and not e["final"]
         ]
@@ -231,7 +233,8 @@ class TestFailureClassification:
             ),
         )
         assert result.ok and result.retried >= 1
-        events = read_ledger(RunDirectory(str(tmp_path), "r").ledger_path)
+        ledger = RunDirectory(str(tmp_path), "r").ledger_path
+        events = read_jsonl(ledger, torn_tail=True)
         timeouts = [
             e for e in events if e["event"] == "failed" and e["kind"] == "timeout"
         ]

@@ -4,8 +4,10 @@ Contracts under test:
 
 * every ``append`` is flushed as one line immediately (the SIGKILL
   guarantee: the page cache survives the process);
-* reading tolerates exactly one torn *tail* line and refuses interior
-  corruption with a ``path:lineno`` error;
+* ``read_jsonl(path, torn_tail=True)`` tolerates exactly one torn
+  *tail* line and refuses interior corruption with a ``path:lineno``
+  error — for both journal writers, the run ledger and the flight
+  recorder;
 * ``replay_ledger`` folds events into latest-state: ``done`` supersedes
   an earlier final ``failed`` and vice versa, non-final failures only
   bump attempt bookkeeping;
@@ -18,13 +20,14 @@ import os
 
 import pytest
 
+from repro.obs.export import read_jsonl
+from repro.obs.flight import FLIGHT_FILENAME, FlightRecorder
 from repro.runs import (
     LEDGER_FILENAME,
     RunLedger,
     canonical_json,
     content_digest,
     file_digest,
-    read_ledger,
     replay_ledger,
 )
 
@@ -34,13 +37,26 @@ def ledger_path(tmp_path):
     return str(tmp_path / "run" / LEDGER_FILENAME)
 
 
+@pytest.fixture(params=["ledger", "flight"])
+def journal(request, tmp_path):
+    """``(path, append, close, prelude)`` for each journal writer;
+    ``prelude`` lists the events the writer journals on its own."""
+    if request.param == "ledger":
+        path = str(tmp_path / "run" / LEDGER_FILENAME)
+        writer = RunLedger(path)
+        return path, writer.append, writer.close, []
+    path = str(tmp_path / FLIGHT_FILENAME)
+    writer = FlightRecorder(capacity=4, path=path)
+    return path, writer.record, writer.close, ["flight.start"]
+
+
 class TestWriter:
     def test_append_is_visible_before_close(self, ledger_path):
         with RunLedger(ledger_path) as ledger:
             ledger.append("run_open", run_id="r1")
             ledger.append("started", key="k", index=0, attempt=1)
             # Line-buffered: both events readable while the handle is open.
-            events = read_ledger(ledger_path)
+            events = read_jsonl(ledger_path, torn_tail=True)
         assert [e["event"] for e in events] == ["run_open", "started"]
         assert events[1]["key"] == "k"
         assert all("ts" in e for e in events)
@@ -50,35 +66,40 @@ class TestWriter:
             ledger.append("run_open", run_id="r1")
         with RunLedger(ledger_path) as ledger:
             ledger.append("resumed", skipped=3)
-        events = read_ledger(ledger_path)
+        events = read_jsonl(ledger_path, torn_tail=True)
         assert [e["event"] for e in events] == ["run_open", "resumed"]
 
 
 class TestReader:
-    def test_torn_tail_is_dropped(self, ledger_path):
-        with RunLedger(ledger_path) as ledger:
-            ledger.append("run_open", run_id="r1")
-            ledger.append("done", key="k")
-        with open(ledger_path, "a", encoding="utf-8") as handle:
+    def test_torn_tail_is_dropped(self, journal):
+        path, append, close, prelude = journal
+        append("run_open", run_id="r1")
+        append("done", key="k")
+        close()
+        with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"event": "done", "key": "trunc')  # kill mid-write
-        events = read_ledger(ledger_path)
-        assert [e["event"] for e in events] == ["run_open", "done"]
+        events = read_jsonl(path, torn_tail=True)
+        assert [e["event"] for e in events] == prelude + ["run_open", "done"]
 
-    def test_interior_corruption_names_the_line(self, ledger_path):
-        with RunLedger(ledger_path) as ledger:
-            ledger.append("run_open", run_id="r1")
-        with open(ledger_path, "a", encoding="utf-8") as handle:
+    def test_interior_corruption_names_the_line(self, journal):
+        path, append, close, prelude = journal
+        append("run_open", run_id="r1")
+        close()
+        with open(path, "a", encoding="utf-8") as handle:
             handle.write("!!! not json !!!\n")
             handle.write(json.dumps({"event": "done", "key": "k"}) + "\n")
-        with pytest.raises(ValueError, match=rf"{os.path.basename(ledger_path)}:2"):
-            read_ledger(ledger_path)
+        bad_line = len(prelude) + 2
+        with pytest.raises(ValueError, match=rf"{os.path.basename(path)}:{bad_line}"):
+            read_jsonl(path, torn_tail=True)
 
-    def test_blank_lines_are_skipped(self, ledger_path):
-        with RunLedger(ledger_path) as ledger:
-            ledger.append("run_open", run_id="r1")
-        with open(ledger_path, "a", encoding="utf-8") as handle:
+    def test_blank_lines_are_skipped(self, journal):
+        path, append, close, prelude = journal
+        append("run_open", run_id="r1")
+        close()
+        with open(path, "a", encoding="utf-8") as handle:
             handle.write("\n")
-        assert [e["event"] for e in read_ledger(ledger_path)] == ["run_open"]
+        events = read_jsonl(path, torn_tail=True)
+        assert [e["event"] for e in events] == prelude + ["run_open"]
 
 
 class TestReplay:

@@ -28,11 +28,8 @@ import pytest
 
 from repro import cli, obs
 from repro.coding import parse_coder_spec
-from repro.obs.flight import (
-    FLIGHT_FILENAME,
-    FlightRecorder,
-    read_flight_journal,
-)
+from repro.obs.export import read_jsonl
+from repro.obs.flight import FLIGHT_FILENAME, FlightRecorder
 from repro.obs.stitch import collect_span_files, stitch_run, stitched_chrome_trace
 from repro.serve import ServeEngine, protocol
 from repro.serve.cluster import TraceCluster
@@ -509,7 +506,7 @@ class TestFlightRecorder:
         # Ring keeps the tail; the journal keeps everything, already on
         # disk without close() (eager line-buffered writes).
         assert len(recorder) == 4
-        journal = read_flight_journal(path)
+        journal = read_jsonl(path, torn_tail=True)
         assert [r["event"] for r in journal[:1]] == ["flight.start"]
         assert sum(1 for r in journal if r["event"] == "engine.tick") == 10
         dump_path = recorder.dump(reason="test")
@@ -518,24 +515,6 @@ class TestFlightRecorder:
         assert document["reason"] == "test"
         assert document["recorded"] == 11 and document["retained"] == 4
         assert [e["index"] for e in document["events"]] == [6, 7, 8, 9]
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = str(tmp_path / FLIGHT_FILENAME)
-        recorder = FlightRecorder(capacity=4, path=path)
-        recorder.record("engine.shed", op="encode")
-        recorder.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 99, "event": "engine.tr')  # kill -9 mid-write
-        events = [r["event"] for r in read_flight_journal(path)]
-        assert events == ["flight.start", "engine.shed"]
-
-    def test_corrupt_middle_line_raises(self, tmp_path):
-        path = str(tmp_path / "flight.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("not json\n")
-            handle.write('{"seq": 1, "event": "ok"}\n')
-        with pytest.raises(ValueError, match="flight.jsonl:1"):
-            read_flight_journal(path)
 
     def test_configure_gated_on_enabled(self, tmp_path, obs_off):
         path = str(tmp_path / FLIGHT_FILENAME)
@@ -551,7 +530,7 @@ class TestFlightRecorder:
             obs.flight_record("engine.drain_begin", outstanding=2)
             dump = obs.flight_dump(reason="drain")
             assert dump and os.path.exists(dump)
-            events = [r["event"] for r in read_flight_journal(path)]
+            events = [r["event"] for r in read_jsonl(path, torn_tail=True)]
             assert events == ["flight.start", "engine.drain_begin"]
         finally:
             obs.configure_flight()  # clear the process-global recorder
@@ -570,7 +549,7 @@ class TestFlightRecorder:
                 obs.configure_flight()
 
         run(scenario())
-        events = [r["event"] for r in read_flight_journal(path)]
+        events = [r["event"] for r in read_jsonl(path, torn_tail=True)]
         assert "engine.session_open" in events
         assert "engine.drain_begin" in events and "engine.drain_end" in events
         # stop() also dumped the ring for the post-mortem.
@@ -583,7 +562,7 @@ class TestFlightRecorder:
 @pytest.mark.chaos
 class TestFlightPostMortem:
     def test_sigkilled_worker_leaves_a_readable_journal(self, tmp_path):
-        from repro.serve.retry import RestartBackoff
+        from repro.retry import RestartBackoff
         from repro.serve.supervisor import WorkerSpec, WorkerSupervisor
 
         async def scenario():
@@ -623,7 +602,7 @@ class TestFlightPostMortem:
         # The SIGKILLed generation never ran its drain path, but the
         # eager journal survived; the supervisor's accessor found one.
         assert os.path.isfile(journal)
-        events = [r["event"] for r in read_flight_journal(journal)]
+        events = [r["event"] for r in read_jsonl(journal, torn_tail=True)]
         assert events and events[0] == "flight.start"
         assert "engine.session_open" in events
         assert "engine.drain_begin" not in events  # kill -9: no goodbye

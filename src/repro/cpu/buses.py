@@ -23,12 +23,18 @@ __all__ = ["BusTimingGenerator"]
 
 
 class BusTimingGenerator:
-    """Accumulates timed value events for one bus and renders a trace."""
+    """Accumulates timed value events for one bus and renders a trace.
+
+    Events live in two flat lists, ``cycles`` and ``values``, in record
+    order.  The pipeline appends to them directly (its cycles are never
+    negative); everything else goes through :meth:`record`.
+    """
 
     def __init__(self, name: str, width: int = 32):
         self.name = name
         self.width = width
-        self._events: List[Tuple[int, int]] = []
+        self.cycles: List[int] = []
+        self.values: List[int] = []
 
     def record(self, cycle: int, value: int) -> None:
         """Schedule ``value`` to appear on the bus at ``cycle``.
@@ -39,12 +45,18 @@ class BusTimingGenerator:
         """
         if cycle < 0:
             raise ValueError(f"negative cycle {cycle}")
-        self._events.append((cycle, value))
+        self.cycles.append(cycle)
+        self.values.append(value)
 
     @property
     def num_events(self) -> int:
         """Number of recorded events."""
-        return len(self._events)
+        return len(self.cycles)
+
+    @property
+    def events(self) -> List[Tuple[int, int]]:
+        """The recorded ``(cycle, value)`` events, in record order."""
+        return list(zip(self.cycles, self.values))
 
     def render(self, num_cycles: int) -> BusTrace:
         """Expand events into a dense ``num_cycles``-long trace.
@@ -54,23 +66,28 @@ class BusTimingGenerator:
         ``num_cycles`` are dropped (the simulation ended first).
         """
         values = np.zeros(num_cycles, dtype=np.uint64)
-        if self._events and num_cycles > 0:
-            # Stable sort keeps same-cycle events in record order, so
-            # "last recorded wins" after the forward fill below.
-            events = sorted(
-                (e for e in self._events if e[0] < num_cycles), key=lambda e: e[0]
-            )
-            for cycle, value in events:
-                values[cycle] = np.uint64(value & ((1 << self.width) - 1))
-            # Forward-fill idle cycles with the previous value.
-            occupied = np.zeros(num_cycles, dtype=bool)
-            for cycle, _ in events:
-                occupied[cycle] = True
-            idx = np.where(occupied, np.arange(num_cycles), 0)
-            np.maximum.accumulate(idx, out=idx)
-            values = values[idx]
-            # Cycles before the first event hold 0.
-            if events:
-                first = events[0][0]
-                values[:first] = 0
-        return BusTrace(values, self.width, self.name)
+        if not self.cycles or num_cycles <= 0:
+            return BusTrace(values, self.width, self.name)
+        cycles = np.array(self.cycles, dtype=np.int64)
+        # BusTrace masks to the width; only ints outside uint64 (which
+        # numpy refuses) need masking first.
+        try:
+            event_values = np.array(self.values, dtype=np.uint64)
+        except OverflowError:
+            mask = (1 << self.width) - 1
+            event_values = np.array([v & mask for v in self.values], dtype=np.uint64)
+        # A stable sort keeps same-cycle events in record order, so the
+        # last of each run of equal cycles is the one recorded last.
+        order = np.argsort(cycles, kind="stable")
+        cycles = cycles[order]
+        event_values = event_values[order]
+        last = np.append(cycles[1:] != cycles[:-1], True) & (cycles < num_cycles)
+        cycles = cycles[last]
+        values[cycles] = event_values[last]
+        # Forward-fill idle cycles with the previous event's value; the
+        # cycles before the first event read values[0], which is 0 unless
+        # an event landed on cycle 0.
+        held = np.zeros(num_cycles, dtype=np.int64)
+        held[cycles] = cycles
+        np.maximum.accumulate(held, out=held)
+        return BusTrace(values[held], self.width, self.name)

@@ -9,7 +9,7 @@ workload kernels early.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -21,29 +21,29 @@ _OFFSET_MASK = PAGE_SIZE - 1
 _ADDR_MASK = 0xFFFFFFFF
 
 
+class _Pages(dict):
+    """Page table: indexing a missing page allocates it, zero-filled."""
+
+    def __missing__(self, index: int) -> bytearray:
+        page = self[index] = bytearray(PAGE_SIZE)
+        return page
+
+
 class Memory:
     """Lazy paged memory with word/halfword/byte access."""
 
     def __init__(self) -> None:
-        self._pages: Dict[int, bytearray] = {}
-
-    def _page(self, addr: int) -> bytearray:
-        index = addr >> _PAGE_SHIFT
-        page = self._pages.get(index)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[index] = page
-        return page
+        self._pages = _Pages()
 
     # -- bytes -----------------------------------------------------------
 
     def load_byte(self, addr: int) -> int:
         addr &= _ADDR_MASK
-        return self._page(addr)[addr & _OFFSET_MASK]
+        return self._pages[addr >> _PAGE_SHIFT][addr & _OFFSET_MASK]
 
     def store_byte(self, addr: int, value: int) -> None:
         addr &= _ADDR_MASK
-        self._page(addr)[addr & _OFFSET_MASK] = value & 0xFF
+        self._pages[addr >> _PAGE_SHIFT][addr & _OFFSET_MASK] = value & 0xFF
 
     # -- halfwords ---------------------------------------------------------
 
@@ -51,7 +51,7 @@ class Memory:
         addr &= _ADDR_MASK
         if addr & 1:
             raise ValueError(f"unaligned halfword load at {addr:#010x}")
-        page = self._page(addr)
+        page = self._pages[addr >> _PAGE_SHIFT]
         offset = addr & _OFFSET_MASK
         return page[offset] | (page[offset + 1] << 8)
 
@@ -59,7 +59,7 @@ class Memory:
         addr &= _ADDR_MASK
         if addr & 1:
             raise ValueError(f"unaligned halfword store at {addr:#010x}")
-        page = self._page(addr)
+        page = self._pages[addr >> _PAGE_SHIFT]
         offset = addr & _OFFSET_MASK
         page[offset] = value & 0xFF
         page[offset + 1] = (value >> 8) & 0xFF
@@ -70,7 +70,7 @@ class Memory:
         addr &= _ADDR_MASK
         if addr & 3:
             raise ValueError(f"unaligned word load at {addr:#010x}")
-        page = self._page(addr)
+        page = self._pages[addr >> _PAGE_SHIFT]
         offset = addr & _OFFSET_MASK
         return int.from_bytes(page[offset:offset + 4], "little")
 
@@ -78,7 +78,7 @@ class Memory:
         addr &= _ADDR_MASK
         if addr & 3:
             raise ValueError(f"unaligned word store at {addr:#010x}")
-        page = self._page(addr)
+        page = self._pages[addr >> _PAGE_SHIFT]
         offset = addr & _OFFSET_MASK
         page[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
 
@@ -102,7 +102,7 @@ class Memory:
         while done < len(data):
             offset = addr & _OFFSET_MASK
             chunk = data[done:done + PAGE_SIZE - offset]
-            self._page(addr)[offset:offset + len(chunk)] = chunk
+            self._pages[addr >> _PAGE_SHIFT][offset:offset + len(chunk)] = chunk
             done += len(chunk)
             addr = (addr + len(chunk)) & _ADDR_MASK
 

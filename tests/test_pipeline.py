@@ -182,7 +182,7 @@ class TestBusGeneration:
         pipeline, stats = run("li r5, 7\nadd r2, r0, r0\nhalt")
         # add reads r0 only; the port must never see an event for it.
         assert pipeline.register_bus.num_events == 0 or all(
-            v == 7 for c, v in pipeline.register_bus._events
+            v == 7 for c, v in pipeline.register_bus.events
         )
 
     def test_memory_bus_carries_store_values(self):

@@ -70,6 +70,7 @@ from . import protocol
 from .chaos import ChaosProxy
 from .client import TraceClient
 from .cluster import TraceCluster
+from .loadgen import LOADGEN_SPECS
 from .recovery import ResilientTraceClient
 from .server import TraceServer
 from .supervisor import WorkerSpec
@@ -77,16 +78,12 @@ from .supervisor import WorkerSpec
 __all__ = [
     "ChaosSoakConfig",
     "ClusterSoakConfig",
-    "SOAK_SPECS",
     "run_chaos_soak",
     "run_cluster_soak",
 ]
 
 log = obs.get_logger("serve.soak")
 
-#: Coder specs cycled across the soak streams — the stateful families
-#: included, so resumption and failover restore non-trivial FSM state.
-SOAK_SPECS = ("window8", "fcm", "stride4", "transition", "invert", "last")
 #: Bus width of the built-in synthetic soak traces.
 WIDTH = 16
 
@@ -135,11 +132,15 @@ LIVENESS_DEADLINE_S = 2.0
 HEAL_TIMEOUT_S = 60.0  #: budget for a killed worker to come back
 
 
-def _check_sizes(clients: int, cycles: int, chunk: int) -> None:
+def _check_sizes(
+    clients: int, cycles: Optional[int], chunk: int, what: str = "cycles"
+) -> None:
+    """``cycles`` is None while the stream lengths are unknown (a corpus)."""
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
-    if chunk < 1 or cycles < chunk:
-        raise ValueError(f"need 1 <= chunk ({chunk}) <= cycles ({cycles})")
+    if chunk < 1 or (cycles is not None and cycles < chunk):
+        bound = "" if cycles is None else f" <= {what} ({cycles})"
+        raise ValueError(f"need 1 <= chunk ({chunk}){bound}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,9 @@ class ClusterSoakConfig:
             )
         if self.kills < 1:
             raise ValueError(f"kills must be >= 1, got {self.kills}")
-        _check_sizes(self.clients, self.cycles, self.chunk)
+        # Under a corpus the streams' own lengths replace ``cycles``;
+        # run_cluster_soak checks ``chunk`` against them once resolved.
+        _check_sizes(self.clients, None if self.corpus else self.cycles, self.chunk)
 
     @classmethod
     def quick(cls, seed: int = 0) -> "ClusterSoakConfig":
@@ -229,7 +232,9 @@ def _open_streams(
 ) -> List[_SoakStream]:
     streams = []
     for index, trace in enumerate(traces):
-        spec = SOAK_SPECS[index % len(SOAK_SPECS)]
+        # The loadgen's coder cycle, stateful families included, so
+        # resumption and failover restore non-trivial FSM state.
+        spec = LOADGEN_SPECS[index % len(LOADGEN_SPECS)]
         client = ResilientTraceClient(
             host,
             port,
@@ -522,6 +527,10 @@ async def run_cluster_soak(config: ClusterSoakConfig) -> SoakReport:
     # input error, and must not leave a cluster behind.
     source = parse_workload_source(config.corpus) if config.corpus else None
     traces = _soak_traces(config.clients, config.cycles, config.seed, source)
+    # Per-stream cycle counts may differ under --corpus; phase the soak
+    # on the longest stream (shorter ones simply finish feeding early).
+    longest = max(len(trace) for trace in traces)
+    _check_sizes(config.clients, longest, config.chunk, "the longest stream")
     report = SoakReport(stats={"source": config.corpus or "synthetic (built-in)"})
     cluster = TraceCluster(
         workers=config.workers,
@@ -542,9 +551,6 @@ async def run_cluster_soak(config: ClusterSoakConfig) -> SoakReport:
         ),
         seed=config.seed,
     )
-    # Per-stream cycle counts may differ under --corpus; phase the soak
-    # on the longest stream (shorter ones simply finish feeding early).
-    longest = max(len(trace) for trace in traces)
     total_chunks = (longest + config.chunk - 1) // config.chunk
     # Phase boundaries: kills happen at evenly spaced chunk indices,
     # each followed by a feeding phase over the wreckage, a heal wait

@@ -79,3 +79,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="nosuchprofile"):
             asyncio.run(run_cluster_soak(config))
         assert started == []
+
+    def test_corpus_chunk_checked_against_resolved_streams(self, monkeypatch):
+        # Under --corpus, ``cycles`` does not size the streams: a chunk
+        # longer than ``cycles`` but within the 240-cycle streams is
+        # valid, and one longer than every stream is refused before the
+        # cluster starts.
+        started = []
+
+        async def no_start(self):
+            started.append(self)
+
+        monkeypatch.setattr(TraceCluster, "start", no_start)
+        corpus = "gen:mixed,seed=7,population=10000,cycles=240,width=16"
+        ClusterSoakConfig(cycles=10, chunk=20, corpus=corpus)
+        config = ClusterSoakConfig(cycles=10, chunk=241, corpus=corpus)
+        with pytest.raises(ValueError, match=r"chunk \(241\) <= the longest stream \(240\)"):
+            asyncio.run(run_cluster_soak(config))
+        assert started == []
+        with pytest.raises(ValueError, match="chunk"):
+            ClusterSoakConfig(chunk=0, corpus=corpus)

@@ -1,5 +1,7 @@
 """Unit tests for the analysis layer: budgets, crossovers, reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,72 @@ class TestCrossoverAnalysis:
         assert analysis.transcoder_energy == pytest.approx(
             analysis._transcoder_per_cycle * len(hot_trace)
         )
+
+
+def _repeater_step_edges(tech, hi=100.0):
+    """Lengths just either side of every repeater-count step below ``hi``."""
+    from repro.wires.repeaters import _optimal_count_per_mm
+
+    per_mm = _optimal_count_per_mm(tech) * tech.repeater_count_derating
+    edges = []
+    step = 1
+    while (step + 0.5) / per_mm < hi:
+        edge = (step + 0.5) / per_mm
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, hi)]
+        step += 1
+    return edges
+
+
+class TestRatioIdentity:
+    """``ratio`` is the documented quotient of wire energies, bit for bit.
+
+    Pinned on suite register traces at all three nodes, at lengths on
+    both sides of every repeater-count step, against
+    :class:`BusEnergyModel` pricing the same counts.  The crossover
+    floats were recorded before the ratio was optimised.
+    """
+
+    PINNED_CROSSOVERS = {
+        "ijpeg": ("0x1.2a02873333334p+3", "0x1.b7bb1b3333332p+2", "0x1.50900b3333334p+2"),
+        "fpppp": ("0x1.0c38b6ccccccep+4", "0x1.d92d240000001p+3", "0x1.723a45999999ap+3"),
+        "gcc": (None, None, "0x1.657812199999cp+6"),
+    }
+
+    @pytest.fixture(scope="class")
+    def analyses(self):
+        from repro.wires import TECHNOLOGIES
+        from repro.workloads import register_trace
+
+        found = {}
+        for name in self.PINNED_CROSSOVERS:
+            first = CrossoverAnalysis(register_trace(name, FAST), TECHNOLOGIES[0], 8)
+            found[name] = [first.with_technology(tech) for tech in TECHNOLOGIES]
+        return found
+
+    def test_ratio_is_the_quotient_of_wire_energies(self, analyses):
+        from repro.energy.bus_energy import BusEnergyModel
+
+        for per_tech in analyses.values():
+            for analysis in per_tech + [replace(per_tech[0], buffered=False)]:
+                tech = analysis.technology
+                lengths = [0.1, 1.0, 5.0, 11.5, 37.3, 100.0]
+                lengths += _repeater_step_edges(tech)
+                for length in lengths:
+                    raw = analysis.wire_energy(length, coded=False)
+                    coded = analysis.wire_energy(length, coded=True)
+                    model = BusEnergyModel(tech, length, analysis.buffered)
+                    assert raw == model.energy_from_counts(analysis.base_counts)
+                    assert coded == model.energy_from_counts(analysis.coded_counts)
+                    expected = (coded + analysis.transcoder_energy) / raw
+                    assert analysis.ratio(length) == expected
+
+    def test_crossover_floats_are_pinned(self, analyses):
+        for name, per_tech in analyses.items():
+            found = tuple(
+                None if mm is None else mm.hex()
+                for mm in (a.crossover_length() for a in per_tech)
+            )
+            assert found == self.PINNED_CROSSOVERS[name]
 
 
 class TestSweeps:

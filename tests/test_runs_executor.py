@@ -58,6 +58,15 @@ class TestFreshRun:
         assert os.path.exists(rundir.summary_json_path)
         assert result.summary_text.rstrip().startswith("savings matrix")
 
+    def test_artifact_digest_is_the_file_digest(self, tmp_path):
+        from repro.runs import file_digest
+
+        rundir = RunDirectory(str(tmp_path), "r")
+        for value in ({"savings_pct": 12.5}, {"crossover_mm": None, "ratio_5mm": 1.0 / 3.0}):
+            digest = rundir.write_artifact("k", value)
+            assert digest == file_digest(rundir.artifact_path("k"))
+            assert rundir.verify_artifact("k", digest) == (value, "")
+
     def test_refuses_to_clobber_existing_ledger(self, tmp_path):
         run_matrix(savings_config(), str(tmp_path), run_id="r", options=fast_options())
         with pytest.raises(ValueError, match="--resume"):

@@ -56,6 +56,50 @@ class TestCellIdentity:
             "seed",
         }
 
+    #: One cell per matrix kind and its key, recorded before the key
+    #: computation was rewritten: existing run directories resume only
+    #: while these bytes stay put.
+    PINNED_KEYS = (
+        (
+            CellSpec(
+                kind="savings", workload="mixed/0", source=GEN, stream=0,
+                source_digest="a" * 64, coder="window8",
+            ),
+            "206f470183396d05fa8409786f9b420a2c64da986aa5d118355c70deabab75a9",
+        ),
+        (
+            CellSpec(
+                kind="crossover", workload="gcc/register",
+                source="suite:gcc/register@4000", stream=0,
+                source_digest="b" * 64, coder="window16", technology="0.13um",
+            ),
+            "019cfab09ebf000407cdd28e3ca1d9feaf67c3fd886d339caf7adfeaae9e9aed",
+        ),
+        (
+            CellSpec(
+                kind="table3", workload="swim/register",
+                source="suite:swim/register@4000", stream=0,
+                source_digest="c" * 64, coder="window8", technology="0.07um",
+                lam=1.0,
+            ),
+            "d716573c3f8b7813e0a9b598a22f740702a22ecf0c6f400611aea68d69c4a9a5",
+        ),
+        (
+            CellSpec(
+                kind="faults", workload="mixed/1", source=GEN, stream=1,
+                source_digest="d" * 64, coder="last", ber=1e-3,
+                policy="reset-both", lam=0.5, seed=7,
+            ),
+            "1474f55936f2d967a1e997ffebedf2cca321d80c2ba70bc629bddd28430bb185",
+        ),
+    )
+
+    @pytest.mark.parametrize(
+        "spec,key", PINNED_KEYS, ids=[spec.kind for spec, _ in PINNED_KEYS]
+    )
+    def test_key_bytes_are_pinned(self, spec, key):
+        assert cell_key(spec) == key
+
     def test_coder_family_grouping(self):
         assert coder_family("window8") == "window"
         assert coder_family("window16") == "window"

@@ -5,17 +5,22 @@ supervision outcomes the cluster's availability story rests on: a
 SIGKILLed worker is respawned as a new generation, a wedged worker
 (SIGSTOP — alive but deaf) is detected by missed heartbeats and
 killed-then-respawned, and a graceful stop SIGTERMs every worker into
-a clean exit-0 drain.
+a clean exit-0 drain.  A stop is bounded by its drain timeout plus
+``STOP_GRACE_S``, and no worker outlives it.
 """
 
 import asyncio
+import os
 import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
-from repro.serve import TraceClient
+from repro.serve import TraceClient, ports
 from repro.retry import RestartBackoff
-from repro.serve.supervisor import WorkerSpec, WorkerSupervisor
+from repro.serve.supervisor import STOP_GRACE_S, WorkerSpec, WorkerSupervisor
 
 pytestmark = pytest.mark.chaos
 
@@ -137,3 +142,121 @@ class TestSupervision:
         assert report["clean"] is True
         for entry in report["workers"].values():
             assert entry["graceful"] and entry["exit"] == 0
+
+
+#: Drain timeout of the bounded-stop tests.
+DRAIN_S = 2.0
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def children(pid: int) -> list:
+    """Pids whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    fields = handle.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if int(fields[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+class TestBoundedStop:
+    def test_stop_landing_on_a_heartbeat_answer_ends(self):
+        """Before Python 3.12, ``asyncio.wait_for`` drops a cancel that
+        lands as its awaitable completes.  A stop that began as a
+        heartbeat probe answered used to leave the monitor looping and
+        the stop waiting on it for ever, with the worker still running."""
+
+        async def scenario():
+            supervisor = make_supervisor(count=1, heartbeat_interval_s=0.05)
+            await supervisor.start()
+            pid = supervisor.handle("w0").pid
+            probe = supervisor._probe
+            stopping = []
+
+            async def probe_then_stop(handle):
+                response = await probe(handle)
+                if not stopping:
+                    # The stop's first step runs before the monitor wakes.
+                    loop = asyncio.get_running_loop()
+                    stopping.append(loop.create_task(supervisor.stop(DRAIN_S)))
+                return response
+
+            supervisor._probe = probe_then_stop
+            while not stopping:
+                await asyncio.sleep(0.01)
+            started = time.monotonic()
+            done, _ = await asyncio.wait(stopping, timeout=DRAIN_S + STOP_GRACE_S)
+            elapsed = time.monotonic() - started
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+                return None, elapsed, pid
+            return stopping[0].result(), elapsed, pid
+
+        report, elapsed, pid = run(scenario())
+        assert report is not None, f"stop still running after {elapsed:.1f} s"
+        assert report["clean"] is True
+        assert not alive(pid)
+
+    def test_workers_drain_under_one_deadline(self):
+        async def scenario():
+            supervisor = make_supervisor(count=2)
+            await supervisor.start()
+            pids = [handle.pid for handle in supervisor.handles.values()]
+            for worker_id in supervisor.handles:
+                # Stopped: deaf to SIGTERM until the SIGKILL.
+                supervisor.kill(worker_id, signal.SIGSTOP)
+            started = time.monotonic()
+            report = await supervisor.stop(DRAIN_S)
+            return report, time.monotonic() - started, pids
+
+        report, elapsed, pids = run(scenario())
+        assert report["clean"] is False
+        assert all(not entry["graceful"] for entry in report["workers"].values())
+        # One deadline for both workers, not one each.
+        assert DRAIN_S <= elapsed < 2 * DRAIN_S
+        assert not any(alive(pid) for pid in pids)
+
+    def test_cluster_sigterm_exits_zero_within_the_bound(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "-q", "cluster", "--workers", "2",
+                "--port", "0", "--drain-timeout", str(DRAIN_S),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            announced = 0
+            while announced < 3:  # the router and two workers
+                line = proc.stdout.readline()
+                assert line, "cluster exited before announcing its ports"
+                announced += ports.parse_listening(line.decode()) is not None
+            workers = children(proc.pid)
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            # The router's own teardown waits at most 1 s on connections.
+            code = proc.wait(timeout=DRAIN_S + STOP_GRACE_S + 1.0)
+        finally:
+            if proc.poll() is None:
+                for pid in children(proc.pid):
+                    os.kill(pid, signal.SIGKILL)
+                proc.kill()
+                proc.wait()
+        assert code == 0
+        assert not any(alive(pid) for pid in workers)

@@ -52,12 +52,11 @@ cannot journal must not pretend it did.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .._seal import canonical_json, content_digest, file_digest
 from ..obs.export import JsonlJournal
 
 __all__ = [
@@ -72,30 +71,6 @@ __all__ = [
 
 #: The journal every run directory is built around.
 LEDGER_FILENAME = "ledger.jsonl"
-
-
-def canonical_json(value: Any) -> str:
-    """The canonical (sorted-key, compact) JSON encoding of ``value``.
-
-    Content keys — cell identity, config digests, artifact digests —
-    are all computed over this encoding, so they are stable across
-    processes, dict orderings and Python versions.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def content_digest(value: Any) -> str:
-    """SHA-256 hex digest of :func:`canonical_json`\\ (value)."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
-
-
-def file_digest(path: str) -> str:
-    """SHA-256 hex digest of a file's exact bytes."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 class RunLedger(JsonlJournal):

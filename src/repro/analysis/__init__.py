@@ -21,13 +21,6 @@ from .experiments import (
     savings_for,
     savings_sweep,
 )
-from .faults_experiments import (
-    DEFAULT_POLICIES,
-    FaultCell,
-    FaultSweepResult,
-    faults_sweep,
-    format_faults_report,
-)
 from .figures import export_figures, write_csv
 from .parallel import CellError, CellOutcome, parallel_map_cells, resolve_jobs
 from .reporting import fmt, format_series, format_table
@@ -57,11 +50,6 @@ __all__ = [
     "SweepOutcome",
     "isolated_suite_traces",
     "robust_savings_sweep",
-    "DEFAULT_POLICIES",
-    "FaultCell",
-    "FaultSweepResult",
-    "faults_sweep",
-    "format_faults_report",
     "export_figures",
     "write_csv",
     "fmt",

@@ -321,7 +321,7 @@ def _cached_window_artifacts(
 
     The coded trace round-trips through the validated ``.npz`` store
     and the operation counts through the JSON artifact store, both
-    keyed by the workload's program hash — so a warm ``repro table3``
+    keyed by the workload's program hash — so a warm :func:`crossover_table`
     skips the hardware-audited encodes, which dominate its cold cost.
     """
     cache = get_default_cache()

@@ -8,8 +8,10 @@ Gives shell access to the library's main entry points:
 * ``encode``       — apply a coding scheme, print activity and savings;
 * ``compare``      — all coding schemes side by side on one trace;
 * ``crossover``    — break-even wire length for the window transcoder;
-* ``faults-sweep`` — net savings vs bit-error rate per recovery policy;
-* ``table1`` / ``table2`` / ``table3`` — regenerate the paper's tables;
+* ``table1`` / ``table2`` — regenerate the paper's first two tables;
+* ``run``          — also runs the crash-resumable experiment matrices
+  (:mod:`repro.runs`): ``savings``, ``crossover``, ``table3`` (Table 3)
+  and ``faults`` (net savings vs bit-error rate per recovery policy);
 * ``bench``        — time the vectorized kernels against their scalar
   oracles and the trace cache cold vs warm, emitting ``BENCH_*.json``;
 * ``report``       — render the metrics/timing summary of a previous
@@ -19,14 +21,14 @@ Gives shell access to the library's main entry points:
   streaming-transcoder sessions, bounded queue with backpressure;
 * ``client``       — talk to a running server: ``ping`` (capabilities),
   ``encode`` (stream a workload trace through a session, verifying it
-  against the local one-shot encode), ``sweep`` (server-side cell);
+  against the local one-shot encode);
 * ``chaos-soak`` / ``cluster-soak`` / ``run-soak`` — the acceptance
   soaks (:mod:`repro.soak`): auto-resuming clients through a seeded
   chaos proxy, SIGKILLed cluster workers, and a SIGKILLed-then-resumed
   run; each prints one verdict table and exits non-zero with one
   ``<command>: FAIL: <check>: <detail>`` stderr line per failed check.
 
-Sweep commands (``table3``, ``faults-sweep``, ``bench``) accept
+``run <matrix>``, ``run-soak`` and ``bench`` accept
 ``--jobs N`` to fan independent cells across worker processes; results
 are merged deterministically, so the output is identical to ``--jobs 1``.
 ``--jobs`` must be >= 1 everywhere; 0 or negative counts exit with the
@@ -66,11 +68,7 @@ from typing import List, Optional
 from . import obs
 from .analysis import (
     CrossoverAnalysis,
-    DEFAULT_POLICIES,
     export_figures,
-    crossover_table,
-    faults_sweep,
-    format_faults_report,
     format_table,
     run_bench,
     savings_for,
@@ -91,11 +89,12 @@ from .coding import (
 )
 from .cpu import CycleBudgetExceeded
 from .energy import count_activity
+from .faults.policies import DEFAULT_POLICIES
 from .hardware import table2_summaries
 from .soak import render_report
 from .traces import TraceFormatError, coverage_at, load_trace, toggle_rate, window_unique_fraction
 from .wires import TECHNOLOGIES, WireModel, technology_by_name
-from .workloads import EXTENDED_WORKLOADS, WORKLOADS, run_workload, suite_traces
+from .workloads import EXTENDED_WORKLOADS, WORKLOADS, run_workload
 
 __all__ = ["main"]
 
@@ -103,7 +102,7 @@ log = obs.get_logger("cli")
 
 BUSES = ("register", "memory", "address", "result")
 
-#: Default workload trio for the fault sweep: two int kernels and one fp.
+#: Default workload trio for the faults matrix: two int kernels and one fp.
 FAULT_SWEEP_WORKLOADS = ("gcc", "ijpeg", "swim")
 
 
@@ -249,46 +248,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         names = reader.verify(args.stream)
         print(f"corpus verify: {len(names)} stream(s) digest-verified ok")
         return 0
-    if verb == "record":
-        buses = BUSES if args.bus == "all" else (args.bus,)
-        with CorpusWriter(args.directory) as writer:
-            metas = record_workload(writer, args.workload, args.cycles, buses)
-        print(
-            format_table(
-                _CORPUS_COLUMNS,
-                _corpus_rows(metas),
-                title=f"corpus record | {args.workload}@{args.cycles}",
-            )
-        )
-        return 0
-    # replay: one sweep cell off a digest-verified chunked read — the
-    # corpus-consuming twin of `repro encode`.
-    from .traces.streaming import StreamingEncoder
-
-    reader = CorpusReader(args.directory)
-    meta = reader.meta(args.stream)
-    coder = _parse_coder_spec(args.coder, meta.width)
-    encoder = StreamingEncoder(coder)
-    base = coded = 0.0
-    for chunk in reader.chunks(args.stream, args.chunk):
-        base += count_activity(chunk).weighted(args.lam)
-        coded += count_activity(encoder.feed_trace(chunk)).weighted(args.lam)
-    savings = 1.0 - coded / base if base else 0.0
-    rows = [
-        ("stream", meta.name),
-        ("coder", args.coder),
-        ("cycles", meta.cycles),
-        ("chunk cycles", args.chunk),
-        ("digest", meta.sha256[:16]),
-        ("weighted activity (raw)", round(base, 1)),
-        ("weighted activity (coded)", round(coded, 1)),
-        ("savings", f"{savings:.2%}"),
-    ]
+    # record: capture a suite workload's live bus traffic as shards.
+    buses = BUSES if args.bus == "all" else (args.bus,)
+    with CorpusWriter(args.directory) as writer:
+        metas = record_workload(writer, args.workload, args.cycles, buses)
     print(
         format_table(
-            ["quantity", "value"],
-            rows,
-            title=f"corpus replay | {args.directory} | lam {args.lam}",
+            _CORPUS_COLUMNS,
+            _corpus_rows(metas),
+            title=f"corpus record | {args.workload}@{args.cycles}",
         )
     )
     return 0
@@ -540,12 +508,6 @@ def _cmd_figures(args: argparse.Namespace) -> None:
     print(format_table(["dataset", "file"], rows))
 
 
-def _cmd_table3(args: argparse.Namespace) -> None:
-    cells = crossover_table(TECHNOLOGIES, (8, 16), cycles=args.cycles, jobs=args.jobs)
-    rows = [(c.technology, c.entries, c.suite, round(c.median_mm, 1)) for c in cells]
-    print(format_table(["Technology", "Entries", "Suite", "Median mm"], rows))
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     report = run_bench(quick=args.quick, jobs=args.jobs)
     kernel_rows = [
@@ -641,45 +603,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults_sweep(args: argparse.Namespace) -> int:
-    bers = _parse_float_list(args.ber, "--ber")
-    for ber in bers:
-        if not 0.0 <= ber < 1.0:
-            raise ValueError(f"--ber values must be in [0, 1), got {ber:g}")
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if not policies:
-        raise ValueError("--policies expects at least one policy name")
-    workloads = tuple(w.strip() for w in args.workloads.split(",") if w.strip())
-    for workload in workloads:
-        if workload not in WORKLOADS and workload not in EXTENDED_WORKLOADS:
-            raise ValueError(
-                f"unknown workload {workload!r}; see `repro workloads`"
-            )
-    # Validate the coder spec once up front (fail fast before simulating).
-    _parse_coder_spec(args.coder)
-    result = faults_sweep(
-        coder_factory=lambda: _parse_coder_spec(args.coder),
-        bers=bers,
-        policies=policies,
-        bus=args.bus,
-        names=workloads,
-        cycles=args.cycles,
-        lam=args.lam,
-        seed=args.seed,
-        keep_going=not args.strict,
-        jobs=args.jobs,
-    )
-    title = f"{args.coder} on {args.bus} bus ({', '.join(workloads)})"
-    print(format_faults_report(result, title=title))
-    if result.failures:
-        log.warning(
-            "sweep finished with failing cells; see table above",
-            extra=obs.fields(failed=len(result.failures)),
-        )
-        return 1
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> None:
     from .obs.report import load_run, render_report
 
@@ -755,7 +678,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             session_idle_timeout_s=(
                 args.session_idle_timeout if args.session_idle_timeout > 0 else None
             ),
-            sweep_workers=args.jobs,
         )
         async with _stop_on_signals() as stop:
             await server.start()
@@ -991,26 +913,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                     ("batch limit", hello["batch_limit"]),
                 ]
                 print(format_table(["server", "value"], rows, title=f"{args.host}:{args.port}"))
-            elif args.op == "sweep":
-                cell = await client.sweep(
-                    args.workload,
-                    coder=args.coder,
-                    bus=args.bus,
-                    cycles=args.cycles,
-                )
-                rows = [
-                    ("workload", cell["workload"]),
-                    ("cycles", cell["cycles"]),
-                    ("transitions", f"{cell['transitions_before']} -> {cell['transitions_after']}"),
-                    ("energy removed (lambda=1)", f"{cell['savings_pct']:.2f} %"),
-                ]
-                print(
-                    format_table(
-                        ["quantity", "value"],
-                        rows,
-                        title=f"{cell['workload']} | {cell['coder']} (served)",
-                    )
-                )
             else:  # encode: stream a workload trace chunk by chunk
                 result = run_workload(args.workload, args.cycles)
                 trace = getattr(result, f"{args.bus}_trace")
@@ -1160,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = sub.add_parser(
         "corpus",
         help="workload corpora: build generator populations, import/record "
-        "traces into shards, verify digests, replay through a sweep cell",
+        "traces into shards, verify digests",
     )
     corpus.set_defaults(func=_cmd_corpus)
     cverb = corpus.add_subparsers(dest="corpus_cmd", required=True)
@@ -1219,21 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shards)",
     )
     crecord.add_argument("--cycles", type=int, default=30_000)
-    creplay = cverb.add_parser(
-        "replay",
-        help="digest-verified chunked replay of one stream through a coder "
-        "(one sweep cell)",
-    )
-    creplay.add_argument("directory")
-    creplay.add_argument("stream")
-    creplay.add_argument("--coder", default="window8")
-    creplay.add_argument(
-        "--chunk", type=int, default=16_384, help="read-chunk cycles"
-    )
-    creplay.add_argument(
-        "--lam", type=float, default=1.0, help="coupling weight lambda"
-    )
-
     from .runs import MATRICES
 
     runcmd = sub.add_parser(
@@ -1382,16 +1269,6 @@ def build_parser() -> argparse.ArgumentParser:
     table1 = sub.add_parser("table1", help="effective lambda per technology")
     table1.set_defaults(func=_cmd_table1)
     add("table2", _cmd_table2, "transcoder circuit characteristics")
-    table3 = sub.add_parser("table3", help="median crossover lengths")
-    table3.set_defaults(func=_cmd_table3)
-    table3.add_argument("--cycles", type=int, default=15_000)
-    table3.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the sweep cells (must be >= 1; default 1)",
-    )
-
     bench = sub.add_parser(
         "bench",
         help="time the vectorized kernels and the trace cache, emit BENCH_*.json",
@@ -1426,55 +1303,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_cmd_figures)
     figures.add_argument("directory")
     figures.add_argument("--cycles", type=int, default=10_000)
-
-    faults = sub.add_parser(
-        "faults-sweep",
-        help="net savings vs bit-error rate per recovery policy",
-    )
-    faults.set_defaults(func=_cmd_faults_sweep)
-    faults.add_argument(
-        "--coder",
-        default="window8",
-        help="coder spec, family plus size suffix (default window8)",
-    )
-    faults.add_argument(
-        "--ber",
-        default="1e-6,1e-5,1e-4",
-        help="comma-separated bit-error rates to inject",
-    )
-    faults.add_argument(
-        "--policies",
-        default=",".join(DEFAULT_POLICIES),
-        help=f"comma-separated recovery policies (default {','.join(DEFAULT_POLICIES)})",
-    )
-    faults.add_argument(
-        "--workloads",
-        default=",".join(FAULT_SWEEP_WORKLOADS),
-        help=f"comma-separated benchmarks (default {','.join(FAULT_SWEEP_WORKLOADS)})",
-    )
-    faults.add_argument("--bus", choices=BUSES, default="register")
-    faults.add_argument("--cycles", type=int, default=20_000)
-    faults.add_argument("--lam", type=float, default=1.0)
-    faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the sweep cells (must be >= 1; default 1)",
-    )
-    strictness = faults.add_mutually_exclusive_group()
-    strictness.add_argument(
-        "--strict",
-        action="store_true",
-        help="abort on the first failing cell instead of recording it",
-    )
-    strictness.add_argument(
-        "--keep-going",
-        dest="strict",
-        action="store_false",
-        help="isolate per-cell failures and finish the sweep (default)",
-    )
-    faults.set_defaults(strict=False)
 
     report = sub.add_parser(
         "report",
@@ -1528,12 +1356,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         help="reap sessions idle for this many seconds (0 = never)",
     )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="process-pool workers for offloaded sweep requests (>= 1)",
-    )
 
     client = sub.add_parser(
         "client",
@@ -1542,9 +1364,9 @@ def build_parser() -> argparse.ArgumentParser:
     client.set_defaults(func=_cmd_client)
     client.add_argument(
         "op",
-        choices=("ping", "encode", "sweep"),
+        choices=("ping", "encode"),
         help="ping: server capabilities; encode: stream a workload trace "
-        "through a session; sweep: run a savings cell server-side",
+        "through a session",
     )
     client.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
     client.add_argument("--host", default="127.0.0.1")

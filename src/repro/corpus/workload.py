@@ -14,7 +14,7 @@ stream ``i``" and get deterministic traffic whether it comes from
 
 One spec grammar — :func:`parse_workload_source` — serves the CLI
 (``repro loadgen --corpus``, ``repro cluster-soak --corpus``, ``repro
-corpus replay``), so every consumer of workload traffic goes through
+run --source``), so every consumer of workload traffic goes through
 the same three-way switch, and errors are one-line ``ValueError``\\ s
 per the ``repro: error:`` contract.
 """

@@ -23,9 +23,8 @@ This package quantifies that fragility and prices the cure:
   partial writes, frame corruption, reordering) consumed by the chaos
   proxy in :mod:`repro.serve.chaos`.
 
-The net-savings-vs-BER experiment lives in
-:mod:`repro.analysis.faults_experiments` and is exposed as
-``repro faults-sweep`` on the command line.
+The net-savings-vs-BER experiment is the ``faults`` matrix of
+:mod:`repro.runs` (``repro run faults`` on the command line).
 """
 
 from .models import (
@@ -40,6 +39,7 @@ from .models import (
     StuckAt,
 )
 from .policies import (
+    DEFAULT_POLICIES,
     POLICIES,
     FallbackStateless,
     RecoveryPolicy,
@@ -76,6 +76,7 @@ __all__ = [
     "FallbackStateless",
     "ResyncOnError",
     "POLICIES",
+    "DEFAULT_POLICIES",
     "resolve_policy",
     "ResilientTranscoder",
     "ResilientRun",

@@ -4,7 +4,7 @@ Each model perturbs the W_C-bit wire state the encoder drove in a given
 cycle, producing the state the *decoder* actually samples.  Models are
 pure FSMs of ``(seed, cycle)``: after :meth:`FaultModel.reset` the same
 model produces the same perturbations for the same cycle sequence, so
-every experiment in :mod:`repro.analysis.faults_experiments` is exactly
+every cell of a ``faults`` run (:mod:`repro.runs`) is exactly
 reproducible.
 
 The taxonomy follows the upsets long buses actually suffer:

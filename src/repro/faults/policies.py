@@ -33,7 +33,7 @@ lives in :meth:`repro.faults.resilient.ResilientTranscoder.run`.
 from __future__ import annotations
 
 from abc import ABC
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 __all__ = [
     "RecoveryPolicy",
@@ -41,6 +41,7 @@ __all__ = [
     "FallbackStateless",
     "ResyncOnError",
     "POLICIES",
+    "DEFAULT_POLICIES",
     "resolve_policy",
 ]
 
@@ -107,6 +108,13 @@ POLICIES: Dict[str, type] = {
     FallbackStateless.name: FallbackStateless,
     ResyncOnError.name: ResyncOnError,
 }
+
+#: Policy names a faults run compares by default, cheapest hardware first.
+DEFAULT_POLICIES: Tuple[str, ...] = (
+    "reset-both",
+    "fallback-stateless",
+    "resync-on-error",
+)
 
 
 def resolve_policy(policy: Union[str, RecoveryPolicy, None]) -> RecoveryPolicy:

@@ -13,7 +13,7 @@ signalling, so an idle feedback wire costs nothing.
 Both extra wires are part of :attr:`output_width`, so the energy
 accounting in :mod:`repro.energy` charges their transitions *and* their
 coupling to the rest of the bundle — resilience is never free, and the
-``repro faults-sweep`` experiment quantifies exactly how much of the
+``repro run faults`` matrix quantifies exactly how much of the
 paper's savings each policy gives back.
 
 Two APIs:

@@ -172,8 +172,8 @@ class RunDirectory:
         The file's exact bytes are the canonical JSON of the value plus
         one newline — the digest journalled in the ``done`` event is
         over those bytes, so resume verification is a pure byte check.
+        The ``cells/`` directory must exist (:func:`run_matrix` makes it).
         """
-        os.makedirs(self.cells_dir, exist_ok=True)
         payload = (canonical_json(value) + "\n").encode("utf-8")
         return atomic_write(self.artifact_path(key), [payload])
 
@@ -288,13 +288,18 @@ def _cell_row(
             mm = value["crossover_mm"]
             metric = "never" if mm is None else round(mm, 2)
         return (spec.workload, spec.coder, spec.technology, metric)
+    if hole:
+        return (spec.workload, spec.coder, spec.policy, f"{spec.ber:g}") + (hole,) * 4
+    recovery = value["mean_cycles_to_recovery"]
     return (
         spec.workload,
         spec.coder,
         spec.policy,
         f"{spec.ber:g}",
-        hole or round(value["savings_pct"], 4),
-        hole or round(100.0 * value["correct_fraction"], 3),
+        round(value["savings_pct"], 4),
+        round(100.0 * value["correct_fraction"], 3),
+        value["detections"],
+        "-" if recovery is None else round(recovery, 1),
     )
 
 
@@ -302,7 +307,10 @@ _HEADERS = {
     "savings": ["workload", "coder", "savings %"],
     "crossover": ["workload", "entries", "technology", "crossover mm"],
     "table3": ["workload", "entries", "technology", "crossover mm"],
-    "faults": ["workload", "coder", "policy", "BER", "net savings %", "correct %"],
+    "faults": [
+        "workload", "coder", "policy", "BER", "net savings %", "correct %",
+        "detects", "cycles to recover",
+    ],
 }
 
 
@@ -528,6 +536,7 @@ def run_matrix(
 
     ledger = RunLedger(rundir.ledger_path)
     try:
+        os.makedirs(rundir.cells_dir, exist_ok=True)
         # -- resume: verify recorded artifacts ------------------------
         pending: List[Tuple[int, str]] = []  # (matrix index, key)
         if resume_id is not None:

@@ -31,13 +31,13 @@ workload axis:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.crossover import CrossoverAnalysis
-from ..analysis.faults_experiments import _seed_for
 from ..coding.specs import parse_coder_spec
 from ..corpus.workload import WorkloadSource, parse_workload_source
 from ..energy import accounting
@@ -293,6 +293,20 @@ def build_cells(config: RunConfig) -> List[CellSpec]:
 
 
 # -- cell execution ---------------------------------------------------
+
+
+def _seed_for(workload: str, policy: str, ber: float, seed: int) -> int:
+    """A stable per-cell RNG seed so cells are independently reproducible.
+
+    Hashed with :mod:`hashlib` rather than the built-in ``hash`` so the
+    seed survives interpreter restarts and ``PYTHONHASHSEED`` — a
+    prerequisite for ``--jobs N`` runs matching serial runs cell for
+    cell.
+    """
+    digest = hashlib.sha256(
+        f"{workload}|{policy}|{ber!r}".encode("utf-8")
+    ).digest()
+    return (int.from_bytes(digest[:4], "big") % (1 << 31)) ^ seed
 
 
 @dataclass

@@ -9,8 +9,7 @@ transcoders as *online* components, the paper's per-cycle FSM view
 * :mod:`~repro.serve.engine` — per-connection sessions holding live
   transcoder FSM state, a bounded request queue with 429-style
   rejection, micro-batching of concurrent one-shot encodes into the
-  vectorized kernels, per-request deadlines, and a process-pool offload
-  path for CPU-bound sweeps;
+  vectorized kernels, per-request deadlines and a bounded drain;
 * :mod:`~repro.serve.server` — the asyncio TCP frontend
   (``repro serve``);
 * :mod:`~repro.serve.client` — the asyncio client and the

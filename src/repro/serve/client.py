@@ -355,19 +355,6 @@ class TraceClient:
             return np.ascontiguousarray(np.asarray(values, dtype=np.uint64))
         return [int(v) for v in values]
 
-    async def sweep(
-        self,
-        workload: str,
-        coder: str = "window8",
-        bus: str = "register",
-        cycles: int = 20_000,
-        lam: float = 1.0,
-    ) -> Dict[str, Any]:
-        """Run one savings sweep cell server-side (process-pool offloaded)."""
-        return await self.call(
-            "sweep", workload=workload, coder=coder, bus=bus, cycles=cycles, lam=lam
-        )
-
 
 class EncodeStream:
     """Client-side handle on one server-held streaming session."""

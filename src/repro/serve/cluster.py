@@ -713,7 +713,7 @@ class ClusterRouter:
                     return await self._op_session(
                         connection_id, request_id, op, message
                     )
-                # Stateless ops (encode_trace, sweep): any live worker.
+                # Stateless ops (encode_trace): any live worker.
                 return await self._op_stateless(request_id, op, message)
         except ProtocolError as exc:
             return protocol.error_response(request_id, exc.code, exc.args[0])

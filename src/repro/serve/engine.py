@@ -1,4 +1,4 @@
-"""The serving engine: sessions, micro-batching, backpressure, offload.
+"""The serving engine: sessions, micro-batching, backpressure, drain.
 
 This is the request-execution core behind :mod:`repro.serve.server`,
 deliberately transport-free (the unit tests drive it without a socket).
@@ -27,19 +27,15 @@ transcoding:
 * **per-request deadlines** — each request carries
   ``enqueue time + request_timeout``; a request whose deadline passed
   while it sat in the queue is answered ``timeout`` without burning
-  CPU on work nobody is waiting for.  Sweeps are additionally bounded
-  by ``asyncio.wait_for`` while running.
-* **process-pool offload** — ``sweep`` requests (whole-workload
-  simulation + encode, seconds of CPU) would starve the event loop, so
-  they run in a ``ProcessPoolExecutor`` and only their *await* occupies
-  the engine; chunk encodes stay inline because they are
-  microseconds-to-milliseconds through the vectorized kernels.
+  CPU on work nobody is waiting for.  Every op runs inline on the
+  event loop: chunk encodes are microseconds-to-milliseconds through
+  the vectorized kernels.
 * **graceful drain** — :meth:`ServeEngine.stop` stops admitting, then
   *waits on a drain event* (no polling): the event fires when the last
-  outstanding request finishes.  Whatever the drain timeout leaves
-  behind — queued jobs and in-flight sweeps alike — is answered with
-  the ``shutdown`` error code (the client knows the server abandoned
-  it, as opposed to ``timeout`` which blames the deadline), and
+  outstanding request finishes.  Whatever queued jobs the drain
+  timeout leaves behind are answered with the ``shutdown`` error code
+  (the client knows the server abandoned it, as opposed to ``timeout``
+  which blames the deadline), and
   :meth:`stop` returns a drain report the soak harness asserts on.
 * **overload-graceful sessions** — an idle reaper closes sessions
   untouched for ``session_idle_timeout_s`` (an abandoned client cannot
@@ -69,10 +65,8 @@ subsystem, lifted to the wire protocol).
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -93,7 +87,7 @@ from ..traces.trace import BusTrace
 from . import protocol
 from .protocol import ProtocolError
 
-__all__ = ["ServeEngine", "Session", "sweep_cell"]
+__all__ = ["ServeEngine", "Session"]
 
 log = obs.get_logger("serve.engine")
 
@@ -109,35 +103,6 @@ DEFAULT_REQUEST_TIMEOUT_S = 30.0
 
 #: Ceiling on values/states per chunk request (memory bound per frame).
 MAX_CHUNK_CYCLES = 1 << 16
-
-
-def sweep_cell(
-    spec: str, workload: str, bus: str, cycles: int, lam: float
-) -> Dict[str, Any]:
-    """One CPU-bound sweep cell: simulate a workload, encode, account.
-
-    Runs inside a pool worker (must stay module-level picklable); the
-    imports are deferred so forked workers pay them lazily.
-    """
-    from ..analysis.experiments import savings_for
-    from ..energy.accounting import count_activity
-    from ..workloads.suite import run_workload
-
-    result = run_workload(workload, cycles)
-    trace = getattr(result, f"{bus}_trace")
-    coder = parse_coder_spec(spec, trace.width)
-    coded = coder.encode_trace(trace)
-    before = count_activity(trace)
-    after = count_activity(coded)
-    return {
-        "workload": workload,
-        "bus": bus,
-        "cycles": len(trace),
-        "coder": spec,
-        "savings_pct": savings_for(trace, coder, lam),
-        "transitions_before": before.total_transitions,
-        "transitions_after": after.total_transitions,
-    }
 
 
 @dataclass
@@ -264,7 +229,6 @@ class ServeEngine:
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         batch_limit: int = DEFAULT_BATCH_LIMIT,
         request_timeout_s: Optional[float] = DEFAULT_REQUEST_TIMEOUT_S,
-        sweep_workers: int = 1,
         session_idle_timeout_s: Optional[float] = None,
     ):
         if queue_limit < 1:
@@ -278,7 +242,6 @@ class ServeEngine:
         self.queue_limit = queue_limit
         self.batch_limit = batch_limit
         self.request_timeout_s = request_timeout_s
-        self.sweep_workers = max(1, int(sweep_workers))
         self.session_idle_timeout_s = session_idle_timeout_s
         self._queue: Deque[_Job] = deque()
         self._wakeup = asyncio.Event()  # set = the queue has work
@@ -289,8 +252,6 @@ class ServeEngine:
         self._next_session = 1
         self._worker: Optional["asyncio.Task[None]"] = None
         self._reaper: Optional["asyncio.Task[None]"] = None
-        self._sweep_tasks: "set[asyncio.Task[None]]" = set()
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._admitting = False
         self._running = asyncio.Event()  # cleared = worker paused
         self._running.set()
@@ -319,17 +280,16 @@ class ServeEngine:
 
         The drain is event-driven: :meth:`stop` waits (up to
         ``drain_timeout_s``) on an event the last outstanding request
-        sets, instead of polling the queue.  Whatever the drain leaves
-        behind — queued jobs and in-flight sweeps alike — is answered
-        with the ``shutdown`` error code: the request was abandoned by
-        the server, which is a different promise to the client than
-        ``timeout`` (the request overran its own deadline).
+        sets, instead of polling the queue.  Whatever queued jobs the
+        drain leaves behind are answered with the ``shutdown`` error
+        code: the request was abandoned by the server, which is a
+        different promise to the client than ``timeout`` (the request
+        overran its own deadline).
 
         Returns a drain report::
 
             {"drained": bool,        # everything finished in time
              "abandoned": int,       # queued jobs answered `shutdown`
-             "cancelled_sweeps": int,
              "outstanding": int}     # should be 0 on a clean drain
 
         The chaos soak asserts ``drained`` and ``outstanding == 0`` as
@@ -341,11 +301,7 @@ class ServeEngine:
             outstanding=self._outstanding,
             queue_depth=len(self._queue),
         )
-        report: Dict[str, Any] = {
-            "drained": True,
-            "abandoned": 0,
-            "cancelled_sweeps": 0,
-        }
+        report: Dict[str, Any] = {"drained": True, "abandoned": 0}
         if self._outstanding > 0:
             try:
                 await asyncio.wait_for(self._drained.wait(), drain_timeout_s)
@@ -360,14 +316,6 @@ class ServeEngine:
                 except asyncio.CancelledError:
                     pass
                 setattr(self, attr, None)
-        # In-flight sweeps: cancellation is answered `shutdown` by
-        # _run_sweep itself, so the client hears the truth.
-        sweeps = [t for t in self._sweep_tasks if not t.done()]
-        for task in sweeps:
-            task.cancel()
-        report["cancelled_sweeps"] = len(sweeps)
-        if self._sweep_tasks:
-            await asyncio.gather(*self._sweep_tasks, return_exceptions=True)
         while self._queue:  # whatever the drain left behind
             job = self._queue.popleft()
             obs.inc("serve.shutdown_answered", op=job.op)
@@ -380,9 +328,6 @@ class ServeEngine:
                 ),
             )
             report["abandoned"] += 1
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
         for connection_id in list(self._connections):
             self.drop_connection(connection_id)
         report["outstanding"] = self._outstanding
@@ -625,9 +570,6 @@ class ServeEngine:
             )
             try:
                 with hop:
-                    if job.op == "sweep":
-                        self._launch_sweep(job)
-                        continue
                     if id(job) in coalesced:
                         hop.set(coalesced=True)
                         response = coalesced[id(job)]
@@ -1197,122 +1139,3 @@ class ServeEngine:
         obs.set_gauge(
             "serve.sessions", sum(len(s) for s in self._connections.values())
         )
-
-    # -- sweep offload -------------------------------------------------
-
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self._pool is None:
-            try:
-                context = (
-                    multiprocessing.get_context("fork")
-                    if "fork" in multiprocessing.get_all_start_methods()
-                    else None
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.sweep_workers, mp_context=context
-                )
-            except (OSError, RuntimeError):
-                # Restricted environments (no /dev/shm, forbidden fork):
-                # compute in-process instead — slower, never wrong.
-                obs.inc("serve.pool_fallbacks")
-                return None
-        return self._pool
-
-    def _launch_sweep(self, job: _Job) -> None:
-        """Validate then run one sweep cell off the event loop."""
-        message = job.message
-        spec = message.get("coder", "window8")
-        workload = message.get("workload")
-        bus = message.get("bus", "register")
-        cycles = message.get("cycles", 20_000)
-        lam = message.get("lam", 1.0)
-        try:
-            if not isinstance(workload, str):
-                raise ProtocolError(protocol.ERR_BAD_REQUEST, "'workload' must be a string")
-            from ..workloads import EXTENDED_WORKLOADS, WORKLOADS
-
-            if workload not in WORKLOADS and workload not in EXTENDED_WORKLOADS:
-                raise ProtocolError(
-                    protocol.ERR_BAD_REQUEST, f"unknown workload {workload!r}"
-                )
-            if not isinstance(spec, str):
-                raise ProtocolError(protocol.ERR_BAD_REQUEST, "'coder' must be a spec string")
-            try:
-                parse_coder_spec(spec)  # fail fast, before forking work
-            except ValueError as exc:
-                raise ProtocolError(protocol.ERR_BAD_REQUEST, str(exc)) from None
-            if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 1:
-                raise ProtocolError(
-                    protocol.ERR_BAD_REQUEST, f"'cycles' must be a positive int, got {cycles!r}"
-                )
-        except ProtocolError as exc:
-            self._finish(
-                job, protocol.error_response(job.request_id, exc.code, exc.args[0])
-            )
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._run_sweep(job, spec, workload, bus, int(cycles), float(lam)),
-            name=f"repro-serve-sweep-{job.request_id}",
-        )
-        self._sweep_tasks.add(task)
-        task.add_done_callback(self._sweep_tasks.discard)
-
-    async def _run_sweep(
-        self, job: _Job, spec: str, workload: str, bus: str, cycles: int, lam: float
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        pool = self._ensure_pool()
-        timeout = None
-        if job.deadline is not None:
-            timeout = max(job.deadline - time.monotonic(), 0.001)
-        t0 = time.monotonic()
-        try:
-            if pool is not None:
-                result = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        pool, sweep_cell, spec, workload, bus, cycles, lam
-                    ),
-                    timeout,
-                )
-            else:
-                result = await asyncio.wait_for(
-                    asyncio.to_thread(sweep_cell, spec, workload, bus, cycles, lam),
-                    timeout,
-                )
-        except asyncio.TimeoutError:
-            obs.inc("serve.timeouts", op="sweep")
-            self._finish(
-                job,
-                protocol.error_response(
-                    job.request_id, protocol.ERR_TIMEOUT, "sweep exceeded its deadline"
-                ),
-            )
-            return
-        except asyncio.CancelledError:
-            # Shutdown cancelled the in-flight sweep: the server is
-            # abandoning the request, which is `shutdown`, not
-            # `timeout` — the client's deadline may be perfectly fine.
-            obs.inc("serve.shutdown_answered", op="sweep")
-            self._finish(
-                job,
-                protocol.error_response(
-                    job.request_id,
-                    protocol.ERR_SHUTDOWN,
-                    "server shutting down; sweep cancelled mid-flight",
-                ),
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 - protocol boundary
-            log.error("sweep failed", extra=obs.fields(error=f"{type(exc).__name__}: {exc}"))
-            self._finish(
-                job,
-                protocol.error_response(
-                    job.request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                ),
-            )
-            return
-        obs.inc("serve.sweeps", coder=spec)
-        obs.observe("serve.sweep_s", time.monotonic() - t0, coder=spec)
-        self._finish(job, protocol.ok_response(job.request_id, **result))

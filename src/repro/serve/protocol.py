@@ -103,7 +103,6 @@ op               idempotent   why / what a blind resend does
 ``health``       yes          pure read of liveness/load (the heartbeat op)
 ``telemetry``    yes          pure read of metrics/span state (live snapshot)
 ``encode_trace`` yes          stateless pure function of the request body
-``sweep``        yes          pure function (workload sim is deterministic)
 ``open``         no           each call creates a fresh session (leaks state)
 ``encode``       no           advances the session encoder FSM (double-apply)
 ``decode``       no           advances the session decoder FSM (double-apply)
@@ -276,7 +275,6 @@ KNOWN_OPS = (
     #            old session; resume restores its FSMs bit-exactly)
     "close",  # drop a session (and its checkpoints)
     "encode_trace",  # one-shot stateless encode (micro-batched)
-    "sweep",  # CPU-bound savings sweep (process-pool offloaded)
     "telemetry",  # live metrics snapshot + span delta + load gauges
     #               (read-only; the cluster router fans it out to every
     #                worker and merges the snapshots — `repro top` rides it)
@@ -286,7 +284,7 @@ KNOWN_OPS = (
 #: (transport error or attempt timeout) — see the idempotency table in
 #: the module docstring.  ``busy`` rejections are retryable for every
 #: op regardless, because the server never admitted the request.
-IDEMPOTENT_OPS = frozenset({"hello", "health", "telemetry", "encode_trace", "sweep"})
+IDEMPOTENT_OPS = frozenset({"hello", "health", "telemetry", "encode_trace"})
 
 
 def trace_context(message: Dict[str, Any]) -> Tuple[str, str]:

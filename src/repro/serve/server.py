@@ -52,7 +52,7 @@ class TraceServer:
     engine:
         A pre-configured :class:`ServeEngine`, or None to build one
         from ``engine_kwargs`` (``queue_limit``, ``batch_limit``,
-        ``request_timeout_s``, ``sweep_workers``).
+        ``request_timeout_s``, ``session_idle_timeout_s``).
     """
 
     def __init__(

@@ -71,7 +71,6 @@ class WorkerSpec:
     batch_limit: int = 16
     request_timeout_s: float = 30.0
     session_idle_timeout_s: float = 300.0
-    sweep_workers: int = 1
     drain_timeout_s: float = 5.0
     #: Base directory for per-worker telemetry exports; each spawn gets
     #: ``<obs_dir>/worker-<id>-gen<generation>`` (a SIGKILLed process
@@ -101,8 +100,6 @@ class WorkerSpec:
             str(self.request_timeout_s),
             "--session-idle-timeout",
             str(self.session_idle_timeout_s),
-            "--jobs",
-            str(self.sweep_workers),
             "--drain-timeout",
             str(self.drain_timeout_s),
         ]

@@ -7,7 +7,7 @@ stored as validated ``.npz`` archives (the same format as
 :mod:`repro.traces.io`, so loading reuses :func:`load_trace`'s
 :class:`TraceFormatError` checking) under a content-addressed file name
 derived from ``(workload, bus, cycles, program-hash)``.  A second
-``repro table3`` run, a re-executed figure suite, or the workers of a
+``repro run table3`` pass, a re-executed figure suite, or the workers of a
 parallel sweep therefore skip CPU re-simulation entirely.
 
 Derived *artifacts* — small JSON blobs such as the hardware operation

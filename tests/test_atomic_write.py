@@ -76,6 +76,7 @@ class TestCallers:
 
     def test_artifact_write_failure_leaves_no_temp(self, tmp_path, monkeypatch):
         rundir = RunDirectory(str(tmp_path), "r")
+        os.makedirs(rundir.cells_dir)  # run_matrix makes it once per run
         _fail_rename(monkeypatch)
         with pytest.raises(OSError):
             rundir.write_artifact("k", {"savings_pct": 1.0})

@@ -79,51 +79,62 @@ class TestCommands:
 
 
 class TestFaultsSweepCommand:
-    def test_runs_end_to_end_on_three_workloads(self, capsys):
+    """The faults sweep is the ``faults`` run matrix (``repro run faults``)."""
+
+    @staticmethod
+    def faults(tmp_path, *argv):
+        return ("run", "faults", "--runs-dir", str(tmp_path / "runs"), *argv)
+
+    def test_runs_end_to_end_on_three_workloads(self, capsys, tmp_path):
         """Acceptance: the documented invocation completes on >= 3
         workloads without crashing."""
         out = run_cli(
             capsys,
-            "faults-sweep",
-            "--coder", "window8",
-            "--ber", "1e-6,1e-5,1e-4",
-            "--cycles", "2000",
+            *self.faults(
+                tmp_path,
+                "--coders", "window8",
+                "--ber", "1e-6,1e-5,1e-4",
+                "--cycles", "2000",
+            ),
         )
         for name in ("gcc", "ijpeg", "swim"):
             assert name in out
         for policy in ("reset-both", "fallback-stateless", "resync-on-error"):
             assert policy in out
         assert "net savings %" in out
-        assert "cycles to recover" in out
+        assert "detects" in out and "cycles to recover" in out
 
-    def test_custom_policies_and_workloads(self, capsys):
+    def test_custom_policies_and_workloads(self, capsys, tmp_path):
         out = run_cli(
             capsys,
-            "faults-sweep",
-            "--workloads", "gcc",
-            "--policies", "resync-on-error",
-            "--ber", "1e-4",
-            "--cycles", "1500",
+            *self.faults(
+                tmp_path,
+                "--source", "suite:gcc/register@1500",
+                "--policies", "resync-on-error",
+                "--ber", "1e-4",
+            ),
         )
         assert "resync-on-error" in out
         assert "reset-both" not in out
 
-    def test_bad_ber_is_one_line_error(self, capsys):
-        err = run_cli_error(capsys, "faults-sweep", "--ber", "2.0")
+    def test_bad_ber_is_one_line_error(self, capsys, tmp_path):
+        err = run_cli_error(capsys, *self.faults(tmp_path, "--ber", "2.0"))
         assert err.startswith("repro: error:")
         assert "[0, 1)" in err
 
-    def test_unparsable_ber_list(self, capsys):
-        err = run_cli_error(capsys, "faults-sweep", "--ber", "lots")
+    def test_unparsable_ber_list(self, capsys, tmp_path):
+        err = run_cli_error(capsys, *self.faults(tmp_path, "--ber", "lots"))
         assert "comma-separated" in err
 
-    def test_unknown_workload_is_one_line_error(self, capsys):
-        err = run_cli_error(capsys, "faults-sweep", "--workloads", "spice")
+    def test_unknown_workload_is_one_line_error(self, capsys, tmp_path):
+        err = run_cli_error(
+            capsys, *self.faults(tmp_path, "--source", "suite:spice")
+        )
         assert err.startswith("repro: error:")
         assert "spice" in err
 
-    def test_bad_coder_spec_is_one_line_error(self, capsys):
-        err = run_cli_error(capsys, "faults-sweep", "--coder", "w!ndow")
+    def test_bad_coder_spec_is_one_line_error(self, capsys, tmp_path):
+        err = run_cli_error(capsys, *self.faults(tmp_path, "--coders", "w!ndow"))
         assert err.startswith("repro: error:")
         assert "coder spec" in err
 
@@ -189,16 +200,18 @@ class TestJobsValidation:
     silent fallback to a default."""
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_table3_rejects_nonpositive_jobs(self, capsys, jobs):
-        err = run_cli_error(capsys, "table3", "--jobs", jobs)
+    def test_table3_rejects_nonpositive_jobs(self, capsys, jobs, tmp_path):
+        err = run_cli_error(
+            capsys, "run", "table3", "--runs-dir", str(tmp_path), "--jobs", jobs
+        )
         assert err.startswith("repro: error:")
         assert "--jobs must be a positive worker count" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_faults_sweep_rejects_nonpositive_jobs(self, capsys, jobs):
+    def test_faults_sweep_rejects_nonpositive_jobs(self, capsys, jobs, tmp_path):
         err = run_cli_error(
-            capsys, "faults-sweep", "--coder", "window8", "--jobs", jobs
+            capsys, "run", "faults", "--runs-dir", str(tmp_path), "--jobs", jobs
         )
         assert err.startswith("repro: error:")
         assert f"got {jobs}" in err
@@ -208,14 +221,13 @@ class TestJobsValidation:
         assert err.startswith("repro: error:")
         assert "--jobs must be a positive worker count" in err
 
-    def test_serve_rejects_nonpositive_jobs(self, capsys):
-        err = run_cli_error(capsys, "serve", "--port", "0", "--jobs", "0")
-        assert err.startswith("repro: error:")
-
-    def test_validation_happens_before_any_work(self, capsys):
+    def test_validation_happens_before_any_work(self, capsys, tmp_path):
         # The error must fire fast, before simulation: the message names
         # the flag, not some downstream pool failure.
-        err = run_cli_error(capsys, "table3", "--jobs", "-7")
+        err = run_cli_error(
+            capsys, "run", "table3", "--runs-dir", str(tmp_path), "--jobs", "-7"
+        )
+        assert not any(tmp_path.iterdir())  # no run was opened
         assert "--jobs" in err and "-7" in err
 
 

@@ -1,10 +1,13 @@
 """End-to-end tests for the ``repro corpus`` CLI verbs.
 
 Drives the real argument parser and command functions — build, import,
-ls, verify, record, replay, plus ``workloads --list`` — against
+ls, verify, record, plus ``workloads --list`` and a savings run over a
+recorded shard (``run savings --source corpus:DIR#STREAM``) — against
 temporary corpora, and pins the ``repro: error:`` one-line contract for
 every corpus failure mode a user can hit from the shell.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -116,19 +119,38 @@ class TestImport:
         assert "--width" in err
 
 
+def run_savings(capsys, tmp_path, source, *extra):
+    return run_cli(
+        capsys, "run", "savings", "--source", source, "--coders", "window8",
+        "--runs-dir", str(tmp_path / "runs"), *extra,
+    )
+
+
 class TestRecordReplay:
     def test_record_then_replay_prints_savings(self, tmp_path, capsys):
+        from repro.coding import parse_coder_spec
+        from repro.energy import normalized_energy_removed
+
         directory = str(tmp_path / "rec")
         run_cli(
             capsys, "corpus", "record", directory, "gzip",
             "--cycles", "2000", "--bus", "register",
         )
-        assert CorpusReader(directory).names() == ["gzip/register"]
-        out = run_cli(
-            capsys, "corpus", "replay", directory, "gzip/register",
-            "--coder", "window8",
-        )
-        assert "savings" in out and "%" in out
+        reader = CorpusReader(directory)
+        assert reader.names() == ["gzip/register"]
+        trace = reader.trace("gzip/register")
+        coded = parse_coder_spec("window8", trace.width).encode_trace(trace)
+        for lam in ("1", "2.5"):
+            out = run_savings(
+                capsys, tmp_path, f"corpus:{directory}#gzip/register",
+                "--lam", lam, "--run-id", f"lam{lam}",
+            )
+            assert "gzip/register" in out and "savings %" in out
+            with open(tmp_path / "runs" / f"lam{lam}" / "summary.json") as handle:
+                (cell,) = json.load(handle)["cells"]
+            assert cell["value"]["savings_pct"] == pytest.approx(
+                normalized_energy_removed(trace, coded, float(lam))
+            )
 
     def test_record_unknown_workload_is_one_line_error(self, tmp_path, capsys):
         err = run_cli_error(
@@ -137,8 +159,11 @@ class TestRecordReplay:
         )
         assert "no-such" in err
 
-    def test_replay_unknown_stream_lists_available(self, built, capsys):
-        err = run_cli_error(capsys, "corpus", "replay", built, "nope")
+    def test_replay_unknown_stream_lists_available(self, built, capsys, tmp_path):
+        err = run_cli_error(
+            capsys, "run", "savings", "--source", f"corpus:{built}#nope",
+            "--runs-dir", str(tmp_path / "runs"),
+        )
         assert "gen7/" in err  # the error names what IS there
 
 

@@ -2,10 +2,13 @@
 
 Covers the acceptance contract of the experiment layer:
 
-* ``faults_sweep`` runs end-to-end across >= 3 suite workloads without
-  crashing and produces one cell per (workload, policy, BER);
-* a failing cell or workload becomes a structured ``SweepFailure``
-  record under ``keep_going=True`` and propagates under strict mode;
+* the ``faults`` run matrix runs end-to-end across >= 3 suite
+  workloads and produces one cell per (workload, policy, BER); a
+  failing cell becomes a ``FAILED:<class>`` hole in its table while the
+  other cells complete;
+* ``isolated_suite_traces`` and ``robust_savings_sweep`` turn a failing
+  workload into a structured ``SweepFailure`` record under
+  ``keep_going=True`` and propagate it under strict mode;
 * the cycle-budget watchdog in ``Machine.run`` turns runaway kernels
   into a typed ``CycleBudgetExceeded`` instead of a silent truncation.
 """
@@ -14,137 +17,118 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    DEFAULT_POLICIES,
-    FaultSweepResult,
-    SweepFailure,
-    faults_sweep,
-    format_faults_report,
-    isolated_suite_traces,
-    robust_savings_sweep,
-)
+from repro.analysis import isolated_suite_traces, robust_savings_sweep
 from repro.coding import WindowTranscoder
 from repro.cpu import CycleBudgetExceeded, Machine
 from repro.cpu.pipeline import PipelineConfig
-from repro.workloads import locality_trace
+from repro.faults import DEFAULT_POLICIES
+from repro.runs import ExecutorOptions, RunConfig, run_matrix
+from repro.runs.matrix import build_cells, make_cell_fn
+
+#: Two synthetic streams with locality, 1500 cycles each.
+SYNTH = "gen:locality,seed=1,population=2,cycles=1500,width=32"
 
 
-def window8():
-    return WindowTranscoder(8, 32)
+def faults_config(sources, bers, policies=DEFAULT_POLICIES, seed=0):
+    return RunConfig(
+        matrix="faults",
+        sources=tuple(sources),
+        coders=("window8",),
+        bers=tuple(bers),
+        policies=tuple(policies),
+        seed=seed,
+    )
 
 
-SYNTH = {
-    "synth-a": locality_trace(1500, seed=1),
-    "synth-b": locality_trace(1500, seed=2),
-}
+def suite(*names, cycles=2000):
+    return [f"suite:{name}/register@{cycles}" for name in names]
+
+
+def run(config, tmp_path, **options):
+    options.setdefault("sleep", lambda _s: None)
+    return run_matrix(
+        config, str(tmp_path), run_id="faults", options=ExecutorOptions(**options)
+    )
 
 
 class TestFaultsSweep:
-    def test_end_to_end_three_workloads(self):
+    def test_end_to_end_three_workloads(self, tmp_path):
         """The acceptance sweep: window8 x 3 BERs x 3 suite workloads."""
-        result = faults_sweep(
-            window8,
-            bers=(1e-6, 1e-5, 1e-4),
-            names=("gcc", "ijpeg", "swim"),
-            cycles=2000,
-        )
+        config = faults_config(suite("gcc", "ijpeg", "swim"), (1e-6, 1e-5, 1e-4))
+        result = run(config, tmp_path)
         assert result.ok
-        assert len(result.cells) == 3 * len(DEFAULT_POLICIES) * 3
-        assert {c.workload for c in result.cells} == {"gcc", "ijpeg", "swim"}
-        for cell in result.cells:
-            assert 0.0 <= cell.correct_fraction <= 1.0
-            assert math.isfinite(cell.savings_pct)
-            assert cell.recoveries <= cell.detections + 1
+        assert len(result.results) == 3 * len(DEFAULT_POLICIES) * 3
+        assert {c.workload for c in result.cells} == {
+            "gcc/register", "ijpeg/register", "swim/register"
+        }
+        for value in result.results.values():
+            assert 0.0 <= value["correct_fraction"] <= 1.0
+            assert math.isfinite(value["savings_pct"])
+            assert value["recoveries"] <= value["detections"] + 1
 
     def test_savings_degrade_with_ber(self):
-        result = faults_sweep(
-            window8,
-            bers=(0.0, 1e-3),
-            policies=("resync-on-error",),
-            traces=SYNTH,
-        )
-        by = {(c.workload, c.ber): c for c in result.cells}
-        for name in SYNTH:
+        cells = build_cells(faults_config([SYNTH], (0.0, 1e-3), ("resync-on-error",)))
+        execute = make_cell_fn()
+        by = {(c.workload, c.ber): execute(c) for c in cells}
+        names = {c.workload for c in cells}
+        assert len(names) == 2
+        for name in names:
             clean = by[(name, 0.0)]
             noisy = by[(name, 1e-3)]
-            assert clean.correct_fraction == 1.0
-            assert clean.detections == 0
-            assert noisy.detections > 0
+            assert clean["correct_fraction"] == 1.0
+            assert clean["detections"] == 0
+            assert noisy["detections"] > 0
             # Recovery traffic costs energy: savings cannot improve.
-            assert noisy.savings_pct <= clean.savings_pct
+            assert noisy["savings_pct"] <= clean["savings_pct"]
 
     def test_cells_are_reproducible(self):
-        kwargs = dict(bers=(1e-4,), policies=("reset-both",), traces=SYNTH, seed=3)
-        first = faults_sweep(window8, **kwargs)
-        second = faults_sweep(window8, **kwargs)
-        assert first.cells == second.cells
+        cells = build_cells(faults_config([SYNTH], (1e-4,), ("reset-both",), seed=3))
+        first, second = make_cell_fn(), make_cell_fn()
+        assert [first(c) for c in cells] == [second(c) for c in cells]
 
-    def test_unknown_workload_isolated_as_failure(self):
-        result = faults_sweep(
-            window8, bers=(1e-5,), policies=("reset-both",),
-            names=("gcc", "no-such-bench"), cycles=1500,
-        )
-        assert [c.workload for c in result.cells] == ["gcc"]
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.workload == "no-such-bench"
-        assert failure.stage == "trace"
-        assert not result.ok
+    def test_failing_cell_isolated_with_stage_label(self, tmp_path):
+        config = faults_config([SYNTH], (1e-5, 1e-4), ("reset-both",))
+        result = run(config, tmp_path, chaos=("fail@1",))
+        assert len(result.results) == 3
+        assert list(result.failed.values()) == ["deterministic-failure"]
+        assert result.status == "degraded"
 
-    def test_strict_mode_propagates(self):
-        with pytest.raises(KeyError):
-            faults_sweep(
-                window8, bers=(1e-5,), policies=("reset-both",),
-                names=("no-such-bench",), cycles=1500, keep_going=False,
-            )
+    def test_report_renders_cells_and_failures(self, tmp_path):
+        config = faults_config([SYNTH], (1e-4,), ("resync-on-error",))
+        result = run(config, tmp_path, chaos=("fail@1",))
+        report = result.summary_text
+        assert "faults matrix | 2 cells | 1 FAILED" in report
+        assert "detects" in report and "cycles to recover" in report
+        for cell in result.cells:
+            assert cell.workload in report
+        assert "FAILED:deterministic-failure" in report
 
-    def test_failing_cell_isolated_with_stage_label(self):
-        calls = {"n": 0}
+    def test_strict_mode_propagates(self, tmp_path):
+        config = faults_config([SYNTH], (1e-4,), ("reset-both",))
+        result = run(config, tmp_path, chaos=("fail@0",), strict=True)
+        assert result.exit_code(strict=True) == 1
+        assert result.exit_code(strict=False) == 0
 
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise RuntimeError("boom in cell")
-            return WindowTranscoder(8, 32)
-
-        result = faults_sweep(
-            flaky, bers=(1e-5, 1e-4), policies=("reset-both",), traces=dict(
-                list(SYNTH.items())[:1]
-            ),
-        )
-        assert len(result.cells) == 1
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.kind == "RuntimeError"
-        assert failure.stage.startswith("faults[reset-both")
-        assert "boom" in failure.message
-
-    def test_report_renders_cells_and_failures(self):
-        result = faults_sweep(
-            window8, bers=(1e-4,), policies=("resync-on-error",), traces=SYNTH,
-        )
-        result.failures.append(
-            SweepFailure("badger", "trace", "KeyError", "no such workload")
-        )
-        report = format_faults_report(result, title="demo")
-        assert "demo" in report
-        assert "synth-a" in report and "synth-b" in report
-        assert "failed cells (isolated)" in report
-        assert "badger" in report
-
-    def test_empty_result_report(self):
-        report = format_faults_report(FaultSweepResult())
-        assert "net savings vs BER" in report
+    def test_empty_result_report(self, tmp_path):
+        """A run whose every cell failed still renders its table."""
+        config = faults_config([SYNTH], (1e-4,), ("reset-both",))
+        result = run(config, tmp_path, chaos=("fail@0", "fail@1"))
+        assert not result.results
+        assert "faults matrix | 2 cells | 2 FAILED" in result.summary_text
+        assert "net savings %" in result.summary_text
 
 
 @pytest.mark.slow
 class TestFaultsSweepFull:
-    def test_default_cycle_budget_sweep(self):
-        result = faults_sweep(
-            window8, bers=(1e-6, 1e-5, 1e-4), names=("gcc", "ijpeg", "swim")
+    def test_default_cycle_budget_sweep(self, tmp_path):
+        from repro.workloads import DEFAULT_CYCLES
+
+        config = faults_config(
+            suite("gcc", "ijpeg", "swim", cycles=DEFAULT_CYCLES), (1e-6, 1e-5, 1e-4)
         )
+        result = run(config, tmp_path)
         assert result.ok
-        assert len(result.cells) == 27
+        assert len(result.results) == 27
 
 
 class TestIsolatedSuiteTraces:

@@ -2,7 +2,7 @@
 
 The acceptance path the subsystem exists for:
 
-* ``repro table3 --jobs 2 --obs-dir D --trace-out T`` leaves a
+* ``repro run table3 --jobs 2 --obs-dir D --trace-out T`` leaves a
   Perfetto-loadable Chrome trace and JSONL telemetry behind, with
   fork-worker metrics (``machine.*``) merged into the parent's export;
 * ``repro report D`` renders per-phase timing and the trace-cache hit
@@ -64,11 +64,14 @@ def test_table3_exports_chrome_trace_and_jsonl(tmp_path, capsys, clean_obs, fres
     trace_out = str(tmp_path / "trace.json")
     captured = run_cli(
         capsys,
+        "run",
         "table3",
         "--cycles",
         "3000",
         "--jobs",
         "2",
+        "--runs-dir",
+        str(tmp_path / "runs"),
         "--obs-dir",
         obs_dir,
         "--trace-out",
@@ -82,8 +85,8 @@ def test_table3_exports_chrome_trace_and_jsonl(tmp_path, capsys, clean_obs, fres
     events = trace["traceEvents"]
     assert events, "no spans exported"
     names = {e["name"] for e in events}
-    assert "cli.table3" in names  # the root span
-    assert "table3.cell" in names  # per-cell spans (possibly from workers)
+    assert "cli.run" in names  # the root span
+    assert "runs.cell" in names  # per-cell spans (possibly from workers)
     for event in events:
         assert event["ph"] == "X"
         assert set(event) == {"name", "ph", "ts", "dur", "pid", "tid", "cat", "args"}
@@ -102,15 +105,18 @@ def test_table3_exports_chrome_trace_and_jsonl(tmp_path, capsys, clean_obs, fres
     assert machine_runs > 0
     assert any(name == "parallel.cells" for (name, _) in counters)
     root = [s for s in spans if s["depth"] == 0]
-    assert len(root) == 1 and root[0]["name"] == "cli.table3"
+    assert len(root) == 1 and root[0]["name"] == "cli.run"
 
 
 def test_report_renders_phases_and_cache_hit_rate(tmp_path, capsys, clean_obs):
     obs_dir = str(tmp_path / "run")
-    run_cli(capsys, "table3", "--cycles", "3000", "--obs-dir", obs_dir)
+    run_cli(
+        capsys, "run", "table3", "--cycles", "3000",
+        "--runs-dir", str(tmp_path / "runs"), "--obs-dir", obs_dir,
+    )
     captured = run_cli(capsys, "report", obs_dir)
     assert "per-phase timing" in captured.out
-    assert "cli.table3" in captured.out
+    assert "cli.run" in captured.out
     assert "trace cache hit rate" in captured.out
     assert "counters" in captured.out
 
@@ -192,6 +198,7 @@ def test_repro_obs_0_leaves_stdout_byte_identical(tmp_path, jobs):
         sys.executable,
         "-m",
         "repro",
+        "run",
         "table3",
         "--cycles",
         "2000",
@@ -199,19 +206,24 @@ def test_repro_obs_0_leaves_stdout_byte_identical(tmp_path, jobs):
         jobs,
         "-q",
     ]
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in ("src", env.get("PYTHONPATH", "")) if p
+        p for p in (os.path.join(repo, "src"), env.get("PYTHONPATH", "")) if p
     )
     outputs = {}
     for flag in ("1", "0"):
         env["REPRO_OBS"] = flag
-        # Separate cache dirs: only the kill switch varies between runs.
+        # Separate cache and runs dirs: only the kill switch varies
+        # between runs (each writes ./runs under its own directory, so
+        # the printed run path is the same).
         env["REPRO_TRACE_CACHE_DIR"] = str(tmp_path / f"cache-{flag}")
+        workdir = tmp_path / f"work-{flag}"
+        workdir.mkdir()
         proc = subprocess.run(
             argv,
             env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            cwd=str(workdir),
             capture_output=True,
             text=True,
             check=True,

@@ -1,9 +1,9 @@
 """The parallel sweep engine: deterministic merge and --jobs equivalence.
 
-The contract under test: for every sweep in the analysis layer,
-``jobs=N`` produces results *identical* to ``jobs=1`` — same values,
-same order, same failure records — because cells are pure and the merge
-is by input index, not completion order.
+The contract under test: for every sweep in the analysis layer, and
+for the ``faults`` run matrix, ``jobs=N`` produces results *identical*
+to ``jobs=1`` — same values, same order, same failure records — because
+cells are pure and the merge is by input index, not completion order.
 """
 
 import multiprocessing
@@ -18,7 +18,6 @@ from repro.analysis.experiments import (
     robust_savings_sweep,
     savings_sweep,
 )
-from repro.analysis.faults_experiments import _seed_for, faults_sweep
 from repro.analysis.parallel import (
     CellError,
     CellOutcome,
@@ -26,6 +25,9 @@ from repro.analysis.parallel import (
     resolve_jobs,
 )
 from repro.coding import TransitionCoder
+from repro.faults import DEFAULT_POLICIES
+from repro.runs import ExecutorOptions, RunConfig, run_matrix
+from repro.runs.matrix import _seed_for
 from repro.wires import TECHNOLOGIES
 
 NAMES = ("gcc", "swim")
@@ -213,31 +215,22 @@ def test_crossover_table_jobs_equivalence():
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="parallel path needs fork")
-def test_faults_sweep_jobs_equivalence():
-    serial = faults_sweep(
-        lambda: TransitionCoder(32), (1e-4,), names=NAMES, cycles=CYCLES, jobs=1
+def test_faults_sweep_jobs_equivalence(tmp_path):
+    config = RunConfig(
+        matrix="faults",
+        sources=tuple(f"suite:{name}/register@{CYCLES}" for name in NAMES),
+        coders=("transition",),
+        bers=(1e-4,),
+        policies=DEFAULT_POLICIES,
     )
-    fanned = faults_sweep(
-        lambda: TransitionCoder(32), (1e-4,), names=NAMES, cycles=CYCLES, jobs=3
-    )
-    assert serial.cells == fanned.cells
-    assert serial.failures == fanned.failures
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="parallel path needs fork")
-def test_faults_sweep_strict_raises_original_exception():
-    def bad_factory():
-        raise ValueError("factory boom")
-
-    with pytest.raises(ValueError, match="factory boom"):
-        faults_sweep(
-            bad_factory,
-            (1e-4,),
-            names=("gcc",),
-            cycles=CYCLES,
-            keep_going=False,
-            jobs=3,
+    serial, fanned = (
+        run_matrix(
+            config, str(tmp_path), run_id=f"jobs{jobs}", options=ExecutorOptions(jobs=jobs)
         )
+        for jobs in (1, 3)
+    )
+    assert serial.ok and fanned.ok
+    assert fanned.summary_json == serial.summary_json
 
 
 def test_seed_for_is_interpreter_stable():

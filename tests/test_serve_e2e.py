@@ -2,8 +2,8 @@
 
 One in-process asyncio server, dozens of concurrent client sessions
 over real TCP connections, mixing stateful multi-chunk streaming
-encodes with process-pool sweep requests; every streamed result must be
-byte-identical to the one-shot library call, backpressure must be
+encodes with stateless ``encode_trace`` one-shots; every served result
+must be byte-identical to the one-shot library call, backpressure must be
 observable when the bounded queue overflows, and the server's exported
 telemetry must render through ``repro report``.
 """
@@ -69,25 +69,27 @@ async def stream_session(host, port, index):
     return "stream"
 
 
-async def sweep_session(host, port, index):
-    """One sweep client: a CPU-bound cell served via the process pool."""
+async def oneshot_session(host, port, index):
+    """One stateless client: a whole trace as one ``encode_trace``."""
+    spec = SPECS[index % len(SPECS)]
+    trace = locality_trace(CYCLES, seed=100 + index)
     client = await TraceClient.connect(host, port)
     try:
-        result = await client.call_with_retry(
-            "sweep",
+        response = await client.call_with_retry(
+            "encode_trace",
             retries=9,
             backoff_s=0.02,
-            workload=["gcc", "swim"][index % 2],
-            coder="window8",
-            bus="register",
-            cycles=1500,
-            lam=1.0,
+            coder=spec,
+            width=32,
+            values=[int(v) for v in trace.values],
         )
     finally:
         await client.close()
-    assert result["ok"]
-    assert result["transitions_after"] <= result["transitions_before"]
-    return "sweep"
+    oneshot = parse_coder_spec(spec, 32).encode_trace(trace)
+    assert np.array_equal(np.array(response["states"], dtype=np.uint64), oneshot.values), (
+        f"one-shot {index} ({spec}): served states diverged from the library"
+    )
+    return "oneshot"
 
 
 async def provoke_backpressure(host, port, engine):
@@ -122,16 +124,16 @@ async def run_acceptance():
     ) as server:
         host, port = server.host, server.port
 
-        # Phase 1: >= 32 concurrent sessions, streaming + sweeps mixed.
+        # Phase 1: >= 32 concurrent clients, streaming + one-shots mixed.
         tasks = []
         for i in range(SESSIONS):
-            if i % 9 == 8:  # every ninth session is a CPU-bound sweep
-                tasks.append(sweep_session(host, port, i))
+            if i % 9 == 8:  # every ninth client is a stateless one-shot
+                tasks.append(oneshot_session(host, port, i))
             else:
                 tasks.append(stream_session(host, port, i))
         kinds = await asyncio.gather(*tasks)
         assert len(kinds) >= 32
-        assert kinds.count("sweep") >= 3 and kinds.count("stream") >= 29
+        assert kinds.count("oneshot") >= 3 and kinds.count("stream") >= 29
 
         # Phase 2: overload the bounded queue, observe busy rejections.
         rejected, admitted_ok = await provoke_backpressure(host, port, server.engine)

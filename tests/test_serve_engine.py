@@ -445,7 +445,9 @@ class TestOneShotBatching:
 
 
 class TestSweeps:
-    def test_sweep_returns_savings(self):
+    def test_sweep_is_an_unknown_op(self):
+        """Savings cells are `repro run savings`, not a served op."""
+
         async def scenario():
             engine = await started_engine()
             try:
@@ -453,28 +455,11 @@ class TestSweeps:
                     1, req("sweep", 1, workload="gcc", coder="window8", cycles=2500)
                 )
             finally:
-                await engine.stop(2.0)
-
-        response = run(scenario())
-        assert response["ok"]
-        assert response["workload"] == "gcc"
-        assert response["transitions_after"] <= response["transitions_before"]
-        assert isinstance(response["savings_pct"], float)
-
-    def test_sweep_validation_fails_fast(self):
-        async def scenario():
-            engine = await started_engine()
-            try:
-                return (
-                    await engine.handle(1, req("sweep", 1, workload="no-such")),
-                    await engine.handle(1, req("sweep", 2, workload="gcc", coder="bogus9")),
-                    await engine.handle(1, req("sweep", 3, workload="gcc", cycles=0)),
-                )
-            finally:
                 await engine.stop(0.5)
 
-        for response in run(scenario()):
-            assert response["error"]["code"] == protocol.ERR_BAD_REQUEST
+        error = run(scenario())["error"]
+        assert error["code"] == protocol.ERR_UNKNOWN_OP
+        assert "encode_trace" in error["message"]  # lists the ops it speaks
 
 
 class TestHealthOp:
